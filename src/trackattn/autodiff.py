@@ -46,6 +46,10 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
+    def __len__(self) -> int:
+        """Length of the leading axis (the step count of a sequence stack)."""
+        return len(self.data)
+
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
@@ -285,38 +289,8 @@ def scale(t: Tensor, c: float) -> Tensor:
 
 def custom(data: np.ndarray, op: str, parents: tuple, bwd: Callable) -> Tensor:
     """Record a fused operation whose backward closure is supplied by the
-    caller; used for hand-derived kernels like the recurrent cell update."""
+    caller; used for hand-derived kernels like the recurrent scan."""
     return _node(np.asarray(data, dtype=np.float64), op, parents, bwd)
-
-
-def col_scores(v: Tensor, mats: Sequence[Tensor]) -> Tensor:
-    """Dot a length-n vector against every column of T stacked (n, B)
-    matrices, producing the (T, B) score matrix in one node."""
-    vd = v.data
-    stack = np.stack([m.data for m in mats])  # (T, n, B)
-    if vd.ndim != 1 or stack.shape[1] != vd.shape[0]:
-        raise DimensionError(f"col_scores: vector {vd.shape} does not match matrices {stack.shape[1:]}")
-    out = np.einsum("i,tib->tb", vd, stack, optimize=True)
-
-    def bwd(adj):
-        gv = np.einsum("tib,tb->i", stack, adj, optimize=True)
-        return (gv, *(vd[:, None] * adj[t][None, :] for t in range(len(mats))))
-    return _node(out, "col_scores", (v, *mats), bwd)
-
-
-def weighted_mix(w: Tensor, mats: Sequence[Tensor]) -> Tensor:
-    """Sum T stacked (n, B) matrices with per-column weights from the
-    (T, B) weight matrix, in one node."""
-    wd = w.data
-    stack = np.stack([m.data for m in mats])  # (T, n, B)
-    if wd.shape != (stack.shape[0], stack.shape[2]):
-        raise DimensionError(f"weighted_mix: weights {wd.shape} do not match matrices {stack.shape}")
-    out = np.einsum("tb,tib->ib", wd, stack, optimize=True)
-
-    def bwd(adj):
-        gw = np.einsum("ib,tib->tb", adj, stack, optimize=True)
-        return (gw, *(adj * wd[t] for t in range(len(mats))))
-    return _node(out, "weighted_mix", (w, *mats), bwd)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

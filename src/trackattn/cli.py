@@ -238,8 +238,10 @@ def cmd_attend(args) -> int:
         raise ContractError(f"variant {cfg.variant!r} produces no attention maps")
     predicted_class = 1 if args.predicted_class == "on" else -1
 
-    attention = metrics_mod.mean_attention(dataset, params, cfg, predicted_class)
-    sal = metrics_mod.mean_saliency(dataset, params, cfg, predicted_class)
+    # one forward and one backward pass per batch serve both maps
+    sums = metrics_mod.ClassSums()
+    sal = metrics_mod.mean_saliency(dataset, params, cfg, predicted_class, sums=sums)
+    attention = metrics_mod.mean_attention(dataset, params, cfg, predicted_class, sums=sums)
 
     os.makedirs(args.out, exist_ok=True)
     metrics_mod.write_map_csv(os.path.join(args.out, "alpha.csv"),

@@ -257,17 +257,24 @@ class SynthSpec:
 
 def synth_generate(spec: SynthSpec) -> tuple[Dataset, np.ndarray]:
     """Generate a labeled dataset plus its (n_marks, n_bins) ground-truth
-    relevance indicator. Deterministic under spec.seed."""
+    relevance indicator. Deterministic under spec.seed.
+
+    Expression is continuous, uniform on [1, 2) for planted positives and
+    [0, 1) for negatives, so the median split of ``binarize_labels`` always
+    yields both classes and ranks every positive above every negative. It
+    comes from a stream of its own, leaving signals and labels unchanged.
+    """
     rng = np.random.default_rng(spec.seed)
     labels = np.where(rng.random(spec.n_genes) < 0.5, 1, -1)
     noise = np.abs(rng.normal(0.0, spec.noise_scale, size=(spec.n_genes, spec.n_marks, spec.n_bins)))
     lo, hi = spec.informative_lo, spec.informative_hi + 1
     noise[labels == 1, spec.informative_mark, lo:hi] += spec.effect
+    expression = np.random.default_rng([spec.seed, 1]).random(spec.n_genes) + (labels == 1)
 
     width = max(5, len(str(spec.n_genes - 1)))
     samples = [
         GeneSample(f"g{i:0{width}d}", SignalMatrix(noise[i]),
-                   label=int(labels[i]), expression_raw=float(labels[i] == 1))
+                   label=int(labels[i]), expression_raw=float(expression[i]))
         for i in range(spec.n_genes)
     ]
     relevance = np.zeros((spec.n_marks, spec.n_bins))

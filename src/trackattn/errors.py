@@ -18,7 +18,9 @@ class ContractError(TrackAttnError, ValueError):
 
 
 class IngestionError(TrackAttnError, ValueError):
-    """A dataset file is malformed; carries the offending line number."""
+    """An input file's content is malformed (a dataset or sidecar row, a
+    non-finite checkpoint payload); carries the offending line number
+    where there is one."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:

@@ -1,4 +1,4 @@
-"""LSTM cell and bidirectional sequence encoder.
+"""Bidirectional LSTM encoder, run as one fused scan node per call.
 
 The cell is the vanilla gated form: input/forget/output gates through a
 sigmoid, a tanh candidate, ``c_t = f⊙c_{t-1} + i⊙g`` and
@@ -6,24 +6,40 @@ sigmoid, a tanh candidate, ``c_t = f⊙c_{t-1} + i⊙g`` and
 layer. Initial hidden and cell states are zero.
 
 Parameter containers hold one weight matrix, recurrence matrix and bias
-per gate. Fields may be plain float64 arrays or autodiff leaves; encoding
-with leaf parameters puts every gate block on the differentiation graph.
+per gate. Fields may be plain float64 arrays or autodiff leaves.
+
+:func:`bilstm_encode_steps` encodes K independent sequences, each with
+its own bidirectional parameters, in a single graph node. The K sequences
+times two directions run as S = 2K stacked recurrences (the backward
+directions read the input time-reversed). The gate blocks are stacked
+inside the call from the per-gate parameters into one [U | W | b] matrix
+per recurrence, so each step is one batched product against the columns
+[h_prev; x_t; 1] of all recurrences, input projection and bias included.
+The i/f/o rows are pre-scaled by one half so that one ``tanh`` over all
+gate rows yields every gate through the half-angle identity
+``sigmoid(z) = (tanh(z/2) + 1) / 2``. The node keeps the activated gates
+and cell states for its backward pass, which runs backpropagation through
+time inside the node: per step, one batched transposed product gives the
+adjoints of h_prev and x, and one more accumulates the [U | W | b]
+gradient, which is split back onto the per-gate parameter blocks.
+
 All functions are pure and safe to call concurrently over shared
-read-only parameters (each call builds its own graph).
+read-only parameters (each call builds its own graph); a scan node's
+backward pass runs once, because it overwrites the kept gates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionError
+from .errors import ContractError, DimensionError
 
 GATES = ("i", "f", "o", "g")
-PARAM_KINDS = ("w", "u", "b")
 
 
 def _shape(v) -> tuple:
@@ -95,98 +111,129 @@ class BiLstmParams:
         return self.forward.d
 
 
-class _Cell:
-    """One direction with gate blocks stacked and the whole cell update
-    fused into a single graph node over the combined state [h; c]."""
+def bilstm_encode_steps(x: Tensor, params: Sequence[BiLstmParams]) -> Tensor:
+    """Encode K independent sequences with their own bidirectional LSTMs.
 
-    def __init__(self, p: LstmParams):
-        self.d = p.d
-        self.w = ad.concat0([_tensorize(getattr(p, f"w_{g}")) for g in GATES])
-        self.u = ad.concat0([_tensorize(getattr(p, f"u_{g}")) for g in GATES])
-        self.b = ad.concat0([_tensorize(getattr(p, f"b_{g}")) for g in GATES])
-
-    def step_state(self, x: Tensor, s_prev: Tensor) -> Tensor:
-        """Apply the six cell equations, mapping state [h_prev; c_prev] to
-        [h; c]. Accepts a single column or a (•, B) batch of columns."""
-        d = self.d
-        wd, ud, bd = self.w.data, self.u.data, self.b.data
-        xd, sd = x.data, s_prev.data
-        flat = xd.ndim == 1
-        h_prev, c_prev = sd[:d], sd[d:]
-        z = wd @ xd + ud @ h_prev + (bd if flat else bd[:, None])
-        # tanh half-angle sigmoid, overflow-free
-        i = 0.5 * (np.tanh(0.5 * z[:d]) + 1.0)
-        f = 0.5 * (np.tanh(0.5 * z[d:2 * d]) + 1.0)
-        o = 0.5 * (np.tanh(0.5 * z[2 * d:3 * d]) + 1.0)
-        g = np.tanh(z[3 * d:])
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
-
-        def bwd(adj):
-            gh, gc_out = adj[:d], adj[d:]
-            gc = gc_out + gh * o * (1.0 - tc * tc)
-            gz = np.concatenate([
-                gc * g * i * (1.0 - i),
-                gc * c_prev * f * (1.0 - f),
-                gh * tc * o * (1.0 - o),
-                gc * i * (1.0 - g * g),
-            ], axis=0)
-            if flat:
-                gw, gu, gb = np.outer(gz, xd), np.outer(gz, h_prev), gz
-            else:
-                gw, gu, gb = gz @ xd.T, gz @ h_prev.T, gz.sum(axis=1)
-            gs_prev = np.concatenate([ud.T @ gz, gc * f], axis=0)
-            return gw, gu, gb, wd.T @ gz, gs_prev
-
-        out = np.concatenate([h, c], axis=0)
-        return ad.custom(out, "lstm_step", (self.w, self.u, self.b, x, s_prev), bwd)
-
-    def zero_state(self, like: Tensor) -> Tensor:
-        xd = like.data
-        shape = (2 * self.d,) if xd.ndim == 1 else (2 * self.d, xd.shape[1])
-        return Tensor(np.zeros(shape))
-
-
-def lstm_step(x, h_prev, c_prev, p: LstmParams) -> tuple[Tensor, Tensor]:
-    """Run one cell update, returning (h_t, c_t) on the graph.
-
-    ``x`` is an input column (n_in,) or a batch of columns (n_in, B);
-    states follow the same convention with height d.
+    ``x`` is a (T, K, n_in, B) stack: step t of sequence k for B batch
+    columns. Returns the (T, K, 2d, B) stack whose [t, k] entry is the
+    forward state after steps 1..t on top of the backward state after
+    steps T..t, as one graph node.
     """
-    x, h_prev, c_prev = _tensorize(x), _tensorize(h_prev), _tensorize(c_prev)
-    d, n_in = p.d, p.n_in
-    if x.data.shape[0] != n_in:
-        raise DimensionError(f"input height {x.data.shape[0]} != n_in {n_in}")
-    for name, s in (("h_prev", h_prev), ("c_prev", c_prev)):
-        if s.data.shape != ((d,) if x.data.ndim == 1 else (d, x.data.shape[1])):
-            raise DimensionError(f"{name} shape {s.data.shape} does not conform")
-    state = _Cell(p).step_state(x, ad.concat0([h_prev, c_prev]))
-    return ad.slice0(state, 0, d), ad.slice0(state, d, 2 * d)
-
-
-def _scan(cell: _Cell, xs: list[Tensor], reverse: bool) -> list[Tensor]:
-    order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
-    state = cell.zero_state(xs[0])
-    out: list[Tensor | None] = [None] * len(xs)
-    for t in order:
-        state = cell.step_state(xs[t], state)
-        out[t] = ad.slice0(state, 0, cell.d)
-    return out
-
-
-def bilstm_encode_steps(xs: list[Tensor], p: BiLstmParams) -> list[Tensor]:
-    """Encode a sequence of input columns into per-step [forward; backward]
-    concatenations of height 2d. Accepts batched columns (n_in, B)."""
-    if not xs:
+    xd = x.data
+    if xd.ndim != 4:
+        raise DimensionError(f"scan input must be (T, K, n_in, B), got shape {xd.shape}")
+    n_t, n_k, n_in, n_b = xd.shape
+    if n_t == 0:
         raise DimensionError("empty sequence")
-    first = xs[0].data.shape
-    for x in xs:
-        if x.data.shape != first:
-            raise DimensionError("sequence steps must share a shape")
-    fwd = _scan(_Cell(p.forward), xs, reverse=False)
-    bwd = _scan(_Cell(p.backward), xs, reverse=True)
-    return [ad.concat0([f, b]) for f, b in zip(fwd, bwd)]
+    if not params or len(params) != n_k:
+        raise DimensionError(f"{len(params)} parameter sets for {n_k} sequences")
+    d = params[0].d
+    for p in params:
+        if p.d != d or p.forward.n_in != n_in:
+            raise DimensionError(
+                f"parameters (d={p.d}, n_in={p.forward.n_in}) do not match "
+                f"(d={d}, n_in={n_in})")
+    n_s = 2 * n_k
+
+    # recurrence s = 2k + direction; every block's rows stacked i, f, o, g,
+    # columns [U | W | b] so that one product per step against the column
+    # [h_prev; x; 1] gives all pre-activations
+    directions = [lp for p in params for lp in (p.forward, p.backward)]
+    blocks = [_tensorize(v) for lp in directions for _, v in lp.named()]
+    n_a = d + n_in + 1
+    a = np.empty((n_s, 4 * d, n_a))
+    for s, q in np.ndindex(n_s, 4):
+        w, u, b = (t.data for t in blocks[12 * s + 3 * q:12 * s + 3 * q + 3])
+        rows = a[s, q * d:(q + 1) * d]
+        rows[:, :d], rows[:, d:-1], rows[:, -1] = u, w, b
+    a_half = a.copy()
+    a_half[:, :3 * d] *= 0.5  # exact: scaling by a power of two commutes with rounding
+
+    # hx[s] = [h_{s-1}; x_s; 1] per recurrence; backward directions see
+    # step s as time T-1-s. hx[s + 1, :, :d] receives h_s.
+    hx = np.empty((n_t + 1, n_s, n_a, n_b))
+    by_dir = hx.reshape(n_t + 1, n_k, 2, n_a, n_b)
+    hx[0, :, :d] = 0.0
+    by_dir[:n_t, :, 0, d:-1] = xd
+    by_dir[:n_t, :, 1, d:-1] = xd[::-1]
+    hx[:n_t, :, -1] = 1.0
+
+    gates = np.empty((n_t, n_s, 4 * d, n_b))
+    cells = np.empty((n_t, n_s, d, n_b))
+    for s in range(n_t):
+        z = np.matmul(a_half, hx[s], out=gates[s])
+        np.tanh(z, out=z)
+        sig = z[:, :3 * d]
+        sig *= 0.5
+        sig += 0.5
+        i, f, o, g = z[:, :d], z[:, d:2 * d], z[:, 2 * d:3 * d], z[:, 3 * d:]
+        c = np.multiply(i, g, out=cells[s])
+        if s:
+            c += f * cells[s - 1]
+        np.multiply(o, np.tanh(c), out=hx[s + 1, :, :d])
+
+    out = np.empty((n_t, n_k, 2, d, n_b))
+    out[:, :, 0] = by_dir[1:, :, 0, :d]
+    out[:, :, 1] = by_dir[n_t:0:-1, :, 1, :d]
+    walked = False
+
+    def bwd(adj):
+        # the gate buffer is overwritten with the pre-activation adjoints
+        nonlocal walked
+        if walked:
+            raise ContractError("a scan node's backward pass runs once per forward pass")
+        walked = True
+        adj = adj.reshape(n_t, n_k, 2, d, n_b)
+        dh_all = np.empty((n_t, n_k, 2, d, n_b))
+        dh_all[:, :, 0] = adj[:, :, 0]
+        dh_all[:, :, 1] = adj[::-1, :, 1]
+        dh_all = dh_all.reshape(n_t, n_s, d, n_b)
+        a_t = a.transpose(0, 2, 1)
+        da = np.zeros((n_s, 4 * d, n_a))
+        dxs = np.empty((n_t, n_s, n_in, n_b))
+        up = np.empty((n_s, 3 * d, n_b))
+        dhx = carry = None
+        for s in range(n_t - 1, -1, -1):
+            z = gates[s]
+            sig = z[:, :3 * d]
+            i, f, o, g = z[:, :d], z[:, d:2 * d], z[:, 2 * d:3 * d], z[:, 3 * d:]
+            tc = np.tanh(cells[s])
+            dh = dh_all[s]
+            if dhx is not None:
+                dh += dhx[:, :d]
+            dc = tc * tc
+            np.subtract(1.0, dc, out=dc)
+            dc *= o
+            dc *= dh
+            if carry is not None:
+                dc += carry
+            # upstream factors of i, f, o, then their sigmoid derivatives
+            np.multiply(dc, g, out=up[:, :d])
+            if s:
+                np.multiply(dc, cells[s - 1], out=up[:, d:2 * d])
+            else:
+                up[:, d:2 * d] = 0.0
+            np.multiply(dh, tc, out=up[:, 2 * d:])
+            carry = dc * f
+            dg = g * g
+            np.subtract(1.0, dg, out=dg)
+            dg *= i
+            np.multiply(dg, dc, out=z[:, 3 * d:])
+            ds = 1.0 - sig
+            ds *= sig
+            np.multiply(up, ds, out=sig)
+            dhx = np.matmul(a_t, z)                                      # (S, n_a, B)
+            dxs[s] = dhx[:, d:-1]
+            da += np.matmul(z, hx[s].swapaxes(-1, -2))
+
+        dxs = dxs.reshape(n_t, n_k, 2, n_in, n_b)
+        grads = [dxs[:, :, 0] + dxs[::-1, :, 1]]
+        for s, q in np.ndindex(n_s, 4):
+            rows = da[s, q * d:(q + 1) * d]
+            grads += [rows[:, d:-1], rows[:, :d], rows[:, -1]]
+        return grads
+
+    return ad.custom(out.reshape(n_t, n_k, 2 * d, n_b), "bilstm_scan", (x, *blocks), bwd)
 
 
 def bilstm_encode(seq, p: BiLstmParams) -> Tensor:
@@ -201,6 +248,5 @@ def bilstm_encode(seq, p: BiLstmParams) -> Tensor:
         raise DimensionError("sequence has no steps")
     if n_in != p.forward.n_in:
         raise DimensionError(f"sequence height {n_in} != n_in {p.forward.n_in}")
-    xs = [Tensor(np.ascontiguousarray(arr[:, t])) for t in range(t_len)]
-    steps = bilstm_encode_steps(xs, p)
-    return ad.concat_cols([ad.reshape(h, (2 * p.d, 1)) for h in steps])
+    steps = bilstm_encode_steps(Tensor(arr.T.reshape(t_len, 1, n_in, 1)), [p])
+    return ad.transpose(ad.reshape(steps, (t_len, 2 * p.d)))

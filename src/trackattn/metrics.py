@@ -111,11 +111,10 @@ def interpretation_correlation(weights, reference) -> float:
 def predict_probs(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
                   batch_size: int = 256) -> np.ndarray:
     """Positive-class probabilities for a (N, M, T) input stack."""
-    out = []
-    for lo in range(0, x.shape[0], batch_size):
-        bf = forward_batch(x[lo:lo + batch_size], params, cfg)
-        out.append(logits_to_probs(bf.logits.data)[1])
-    return np.concatenate(out)
+    # no graph outlives its batch, so at most one is alive at a time
+    return np.concatenate([
+        logits_to_probs(forward_batch(x[lo:lo + batch_size], params, cfg).logits.data)[1]
+        for lo in range(0, x.shape[0], batch_size)])
 
 
 def score_dataset(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
@@ -134,35 +133,77 @@ class MeanAttentionMap:
     n_samples: int
 
 
+@dataclass
+class ClassSums:
+    """Running sums over the samples predicted as one class."""
+
+    count: int = 0
+    alpha: np.ndarray | None = None     # (n_rows, T)
+    beta: np.ndarray | None = None      # (M,), original mark order
+    saliency: np.ndarray | None = None  # (M, T) absolute input gradients
+
+
+def _add(total, part):
+    return part if total is None else total + part
+
+
+def _add_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
+               predicted_class: int, sums: ClassSums, saliency: bool) -> None:
+    """Add one batch's samples predicted as the class into ``sums``: one
+    forward pass, plus one backward pass when saliency is asked for.
+
+    One backward pass suffices for saliency: summing each kept column's own
+    predicted-class logit gives every column its own logit gradient.
+    """
+    bf = forward_batch(x, params, cfg)
+    probs = logits_to_probs(bf.logits.data)
+    keep = (probs[1] > probs[0]) if predicted_class == 1 else (probs[1] <= probs[0])
+    if not keep.any():
+        return
+    alpha, beta = extract_profiles(bf, cfg)
+    if alpha is not None:
+        sums.alpha = _add(sums.alpha, alpha[:, :, keep].sum(axis=2))
+    if beta is not None:
+        sums.beta = _add(sums.beta, beta[:, keep].sum(axis=1))
+    if saliency:
+        picked = ad.pick_cols(bf.logits, np.argmax(bf.logits.data, axis=0))
+        ad.backward(ad.sum_all(ad.hadamard(picked, Tensor(keep.astype(np.float64)))))
+        grads = collect_input_gradients(bf, cfg)
+        sums.saliency = _add(sums.saliency, np.abs(grads[keep]).sum(axis=0))
+    sums.count += int(keep.sum())
+
+
+def _class_pass(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
+                predicted_class: int, batch_size: int, sums: ClassSums,
+                saliency: bool) -> ClassSums:
+    """Fill ``sums`` batch by batch; each batch's graph is freed before the
+    next batch runs."""
+    if predicted_class not in (-1, 1):
+        raise ContractError("predicted_class must be -1 or +1")
+    x = dataset.signals()
+    for lo in range(0, x.shape[0], batch_size):
+        _add_batch(x[lo:lo + batch_size], params, cfg, predicted_class, sums, saliency)
+    if sums.count == 0:
+        raise MetricUndefinedError(f"empty class: no samples predicted as {predicted_class:+d}")
+    return sums
+
+
 def mean_attention(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
-                   predicted_class: int, batch_size: int = 256) -> MeanAttentionMap:
+                   predicted_class: int, batch_size: int = 256,
+                   sums: ClassSums | None = None) -> MeanAttentionMap:
     """Average alpha and beta over samples whose argmax prediction equals
-    predicted_class (+1 or -1)."""
+    predicted_class (+1 or -1). Given the ``sums`` a :func:`mean_saliency`
+    call filled, no forward pass of its own runs."""
     if predicted_class not in (-1, 1):
         raise ContractError("predicted_class must be -1 or +1")
     if cfg.variant == "lstm":
         raise ContractError(f"variant {cfg.variant!r} produces no attention")
-    x = dataset.signals()
-    alpha_sum = beta_sum = None
-    count = 0
-    for lo in range(0, x.shape[0], batch_size):
-        bf = forward_batch(x[lo:lo + batch_size], params, cfg)
-        probs = logits_to_probs(bf.logits.data)
-        keep = (probs[1] > probs[0]) if predicted_class == 1 else (probs[1] <= probs[0])
-        if not keep.any():
-            continue
-        alpha, beta = extract_profiles(bf, cfg)
-        a = alpha[:, :, keep].sum(axis=2)
-        alpha_sum = a if alpha_sum is None else alpha_sum + a
-        if beta is not None:
-            b = beta[:, keep].sum(axis=1)
-            beta_sum = b if beta_sum is None else beta_sum + b
-        count += int(keep.sum())
-    if count == 0:
-        raise MetricUndefinedError(f"empty class: no samples predicted as {predicted_class:+d}")
-    return MeanAttentionMap(alpha_sum / count,
-                            None if beta_sum is None else beta_sum / count,
-                            predicted_class, count)
+    if sums is None:
+        sums = _class_pass(dataset, params, cfg, predicted_class, batch_size, ClassSums(),
+                           saliency=False)
+    return MeanAttentionMap(sums.alpha / sums.count,
+                            None if sums.beta is None else sums.beta / sums.count,
+                            predicted_class, sums.count)
 
 
 def saliency(x: np.ndarray, params: ParameterStore, cfg: ModelConfig) -> np.ndarray:
@@ -178,32 +219,17 @@ def saliency(x: np.ndarray, params: ParameterStore, cfg: ModelConfig) -> np.ndar
 
 
 def mean_saliency(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
-                  predicted_class: int, batch_size: int = 256) -> np.ndarray:
+                  predicted_class: int, batch_size: int = 256,
+                  sums: ClassSums | None = None) -> np.ndarray:
     """Mean absolute input gradient over samples predicted as one class.
 
-    One backward pass per batch suffices: summing each kept column's own
-    predicted-class logit gives every column its own logit gradient.
+    An empty ``sums`` passed in is filled from the same forward passes, so
+    ``mean_attention(..., sums=sums)`` can average alpha and beta without
+    running the model again.
     """
-    if predicted_class not in (-1, 1):
-        raise ContractError("predicted_class must be -1 or +1")
-    x = dataset.signals()
-    total = np.zeros((cfg.n_marks, cfg.n_bins))
-    count = 0
-    for lo in range(0, x.shape[0], batch_size):
-        bf = forward_batch(x[lo:lo + batch_size], params, cfg)
-        probs = logits_to_probs(bf.logits.data)
-        keep = (probs[1] > probs[0]) if predicted_class == 1 else (probs[1] <= probs[0])
-        if not keep.any():
-            continue
-        k = np.argmax(bf.logits.data, axis=0)
-        picked = ad.pick_cols(bf.logits, k)
-        ad.backward(ad.sum_all(ad.hadamard(picked, Tensor(keep.astype(np.float64)))))
-        grads = collect_input_gradients(bf, cfg)
-        total += np.abs(grads[keep]).sum(axis=0)
-        count += int(keep.sum())
-    if count == 0:
-        raise MetricUndefinedError(f"empty class: no samples predicted as {predicted_class:+d}")
-    return total / count
+    sums = _class_pass(dataset, params, cfg, predicted_class, batch_size,
+                       ClassSums() if sums is None else sums, saliency=True)
+    return sums.saliency / sums.count
 
 
 # ----------------------------------------------------------------- exports

@@ -15,22 +15,30 @@ binned signal tracks:
   second bidirectional LSTM over the (arbitrarily ordered) sequence of
   mark summaries with mark-level attention, then the classifier.
 
-The forward pass is batched: a (B, M, T) stack of inputs flows through the
-graph as width-B matrices, and the mean negative log-likelihood over the
-batch is the training root. All functions are pure over read-only
-parameters; a trained store can serve concurrent forward calls.
+The forward pass is batched: a (B, M, T) stack of inputs becomes one
+(T, K, n_in, B) input leaf, and each level is one graph node. The bin
+level is a single fused scan (:func:`~trackattn.lstm.bilstm_encode_steps`)
+over all M marks at once in the per-mark variants (K=M, n_in=1) or over
+the joint M-wide columns (K=1, n_in=M), followed by one attention-pool
+node; the mark level of ``lstm-alpha-beta`` is one more scan and pool over
+the mark summaries in ``mark_order``. A B=16 training step therefore
+records about 160 nodes, most of them parameter leaves. The mean negative
+log-likelihood over the batch is the training root. All functions are
+pure over read-only parameters; a trained store can serve concurrent
+forward calls.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, IngestionError
 from .ioutil import atomic_write_bytes
 from .lstm import GATES, BiLstmParams, LstmParams, bilstm_encode_steps
 
@@ -229,10 +237,10 @@ class BatchForward:
     """Graph handles from one batched forward pass."""
 
     logits: Tensor                       # (2, B)
-    alphas: list[Tensor] | None          # per mark, each (T, B); single entry for lstm-attn
-    betas: Tensor | None                 # (M, B), rows in mark-sequence order
+    alphas: np.ndarray | None            # (n_rows, T, B): per mark, one joint row for lstm-attn
+    betas: np.ndarray | None             # (M, B), rows in mark-sequence order
     leaves: dict[str, Tensor]            # parameter leaves by block name
-    input_steps: list[list[Tensor]]      # [mark][bin] -> (1, B), or [[bin] -> (M, B)] for joint
+    inputs: Tensor                       # (T, M, 1, B) per mark, or (T, 1, M, B) joint
 
 
 def _leafed(params: ParameterStore) -> tuple[ParameterStore, dict[str, Tensor]]:
@@ -246,63 +254,107 @@ def _leafed(params: ParameterStore) -> tuple[ParameterStore, dict[str, Tensor]]:
     return params.map_blocks(wrap), leaves
 
 
-def _attend_steps(steps: list[Tensor], ctx: Tensor) -> tuple[Tensor, Tensor]:
-    """Batched soft attention over a list of (d_h, B) columns.
+def _attend_steps(steps: Tensor, contexts: list[Tensor]) -> tuple[np.ndarray, Tensor]:
+    """Batched soft attention over the steps of a (T, K, d_h, B) stack,
+    independently for each of the K sequences and B columns.
 
-    Returns the (K, B) column-stochastic weight matrix and the (d_h, B)
-    weighted sum.
+    ``contexts`` holds one (d_h,) context shared by every sequence, or one
+    per sequence. Scores are context dot products, normalized over the T
+    steps by the max-subtracted softmax. Returns the (T, K, B) weights
+    (values only) and the (K, d_h, B) weighted sums as one graph node.
     """
-    weights = ad.softmax(ad.col_scores(ctx, steps))
-    return weights, ad.weighted_mix(weights, steps)
+    hd = steps.data
+    _, n_k, n_h, _ = hd.shape
+    ctx = np.stack([c.data for c in contexts])                           # (1 or K, d_h)
+    if ctx.shape[1:] != (n_h,) or ctx.shape[0] not in (1, n_k):
+        raise DimensionError(f"{ctx.shape[0]} contexts of length {ctx.shape[1]} do not match "
+                             f"{n_k} sequences of height {n_h}")
+    scores = (hd * ctx[:, :, None]).sum(axis=2)                          # (T, K, B)
+    e = np.exp(scores - scores.max(axis=0))
+    weights = e / e.sum(axis=0)
+    pooled = (hd * weights[:, :, None, :]).sum(axis=0)                   # (K, d_h, B)
+
+    def bwd(adj):
+        dw = (hd * adj).sum(axis=2)
+        ds = weights * (dw - (dw * weights).sum(axis=0))
+        dh = weights[:, :, None, :] * adj + ctx[:, :, None] * ds[:, :, None, :]
+        dctx = (hd * ds[:, :, None, :]).sum(axis=(0, 3))                 # (K, d_h)
+        if len(contexts) == 1:
+            return dh, dctx.sum(axis=0)
+        return (dh, *dctx)
+
+    return weights, ad.custom(pooled, "attention_pool", (steps, *contexts), bwd)
+
+
+def _mark_sequence(pooled: Tensor, order: tuple[int, ...]) -> Tensor:
+    """Reorder the (M, d_h, B) mark summaries into the (M, 1, d_h, B)
+    sequence the mark-level encoder reads."""
+    idx = list(order)
+
+    def bwd(adj):
+        g = np.empty_like(pooled.data)
+        g[idx] = adj[:, 0]
+        return (g,)
+
+    return ad.custom(pooled.data[idx][:, None], "mark_sequence", (pooled,), bwd)
+
+
+def _final_states(encoded: Tensor, d: int) -> Tensor:
+    """The (2d, B) readout of a single-sequence (T, 1, 2d, B) encoding: the
+    forward state after the last step on the backward state after the first."""
+    hd = encoded.data
+
+    def bwd(adj):
+        g = np.zeros_like(hd)
+        g[-1, 0, :d] = adj[:d]
+        g[0, 0, d:] = adj[d:]
+        return (g,)
+
+    out = np.concatenate([hd[-1, 0, :d], hd[0, 0, d:]], axis=0)
+    return ad.custom(out, "final_states", (encoded,), bwd)
 
 
 def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig) -> BatchForward:
-    """Run the variant's forward pass over a (B, M, T) input stack."""
+    """Run the variant's forward pass over a (B, M, T) input stack.
+
+    The bin level is one scan call over every mark (per-mark variants) or
+    over the joint M-wide columns, and one attention pool over its output;
+    the mark level of lstm-alpha-beta is one more scan and pool.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1:] != (cfg.n_marks, cfg.n_bins):
         raise DimensionError(
             f"input shape {x.shape} does not match (B, {cfg.n_marks}, {cfg.n_bins})")
-    n_b, n_m, n_t = x.shape
+    n_b, n_m, _ = x.shape
     store, leaves = _leafed(params)
+    per_mark = cfg.variant in PER_MARK_VARIANTS
 
-    if cfg.variant in PER_MARK_VARIANTS:
-        input_steps = [
-            [Tensor(np.ascontiguousarray(x[:, j, t]).reshape(1, n_b)) for t in range(n_t)]
-            for j in range(n_m)
-        ]
-        alphas, summaries = [], []
-        for j in range(n_m):
-            encoded = bilstm_encode_steps(input_steps[j], store.bin_lstms[j])
-            ctx = store.bin_contexts[0 if cfg.share_bin_context else j]
-            weights, pooled = _attend_steps(encoded, ctx)
-            alphas.append(weights)
-            summaries.append(pooled)
+    steps = x.transpose(2, 1, 0)                                         # (T, M, B)
+    inputs = Tensor(np.ascontiguousarray(steps[:, :, None] if per_mark else steps[:, None]))
+    encoded = bilstm_encode_steps(inputs, store.bin_lstms)               # (T, K, 2d, B)
 
-        if cfg.variant == "lstm-alpha":
-            stacked = ad.concat0(summaries)
-            hidden = ad.tanh(ad.affine(store.hidden_w, stacked, store.hidden_b))
-            logits = ad.affine(store.classifier_w, hidden, store.classifier_b)
-            return BatchForward(logits, alphas, None, leaves, input_steps)
+    if cfg.variant == "lstm":
+        logits = ad.affine(store.classifier_w, _final_states(encoded, cfg.d), store.classifier_b)
+        return BatchForward(logits, None, None, leaves, inputs)
 
-        sequence = [summaries[j] for j in cfg.order]
-        encoded_marks = bilstm_encode_steps(sequence, store.mark_lstm)
-        betas, gene_vec = _attend_steps(encoded_marks, store.mark_context)
-        logits = ad.affine(store.classifier_w, gene_vec, store.classifier_b)
-        return BatchForward(logits, alphas, betas, leaves, input_steps)
-
-    # joint variants: columns of the M x T matrix are the time steps
-    input_steps = [[Tensor(np.ascontiguousarray(x[:, :, t]).T) for t in range(n_t)]]
-    encoded = bilstm_encode_steps(input_steps[0], store.bin_lstms[0])
-
+    weights, pooled = _attend_steps(encoded, store.bin_contexts)
+    alphas = weights.transpose(1, 0, 2)                                  # (K, T, B)
+    d2 = 2 * cfg.d
     if cfg.variant == "lstm-attn":
-        weights, pooled = _attend_steps(encoded, store.bin_contexts[0])
-        logits = ad.affine(store.classifier_w, pooled, store.classifier_b)
-        return BatchForward(logits, [weights], None, leaves, input_steps)
+        logits = ad.affine(store.classifier_w, ad.reshape(pooled, (d2, n_b)), store.classifier_b)
+        return BatchForward(logits, alphas, None, leaves, inputs)
 
-    d = cfg.d
-    readout = ad.concat0([ad.slice0(encoded[-1], 0, d), ad.slice0(encoded[0], d, 2 * d)])
-    logits = ad.affine(store.classifier_w, readout, store.classifier_b)
-    return BatchForward(logits, None, None, leaves, input_steps)
+    if cfg.variant == "lstm-alpha":
+        stacked = ad.reshape(pooled, (n_m * d2, n_b))
+        hidden = ad.tanh(ad.affine(store.hidden_w, stacked, store.hidden_b))
+        logits = ad.affine(store.classifier_w, hidden, store.classifier_b)
+        return BatchForward(logits, alphas, None, leaves, inputs)
+
+    encoded_marks = bilstm_encode_steps(_mark_sequence(pooled, cfg.order), [store.mark_lstm])
+    betas, gene_vec = _attend_steps(encoded_marks, [store.mark_context])
+    logits = ad.affine(store.classifier_w, ad.reshape(gene_vec, (2 * cfg.d_hm, n_b)),
+                       store.classifier_b)
+    return BatchForward(logits, alphas, betas[:, 0], leaves, inputs)
 
 
 def logits_to_probs(logits: np.ndarray) -> np.ndarray:
@@ -314,14 +366,11 @@ def logits_to_probs(logits: np.ndarray) -> np.ndarray:
 def extract_profiles(bf: BatchForward, cfg: ModelConfig) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Numpy attention maps from a forward pass: alpha (n_rows, T, B) and
     beta (M, B) with beta rows restored to original mark order."""
-    if bf.alphas is None:
-        return None, None
-    alpha = np.stack([a.data for a in bf.alphas], axis=0)
     beta = None
     if bf.betas is not None:
-        beta = np.empty_like(bf.betas.data)
-        beta[list(cfg.order), :] = bf.betas.data
-    return alpha, beta
+        beta = np.empty_like(bf.betas)
+        beta[list(cfg.order), :] = bf.betas
+    return bf.alphas, beta
 
 
 def forward(x: np.ndarray, params: ParameterStore, cfg: ModelConfig) -> Prediction:
@@ -365,18 +414,11 @@ def loss(pred: Prediction, label: int) -> float:
 def collect_input_gradients(bf: BatchForward, cfg: ModelConfig) -> np.ndarray:
     """Assemble the (B, M, T) input gradients after a backward pass has
     populated adjoints."""
-    n_b = bf.logits.data.shape[1]
-    grad = np.zeros((n_b, cfg.n_marks, cfg.n_bins))
-    if cfg.variant in PER_MARK_VARIANTS:
-        for j, row in enumerate(bf.input_steps):
-            for t, leaf in enumerate(row):
-                if leaf.adjoint is not None:
-                    grad[:, j, t] = leaf.adjoint[0]
-    else:
-        for t, leaf in enumerate(bf.input_steps[0]):
-            if leaf.adjoint is not None:
-                grad[:, :, t] = leaf.adjoint.T
-    return grad
+    adj = bf.inputs.adjoint
+    if adj is None:
+        return np.zeros((bf.logits.data.shape[1], cfg.n_marks, cfg.n_bins))
+    # both input layouts flatten to (T, M, B)
+    return np.ascontiguousarray(adj.reshape(cfg.n_bins, cfg.n_marks, -1).transpose(2, 1, 0))
 
 
 def collect_input_gradient(bf: BatchForward, cfg: ModelConfig, col: int = 0) -> np.ndarray:
@@ -401,38 +443,81 @@ def save_checkpoint(path: str, cfg: ModelConfig, seed: int, params: ParameterSto
     atomic_write_bytes(path, CHECKPOINT_MAGIC + b"\n" + head + b"\n" + body)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_CONFIG_FIELDS = {
+    "n_marks": _is_int, "n_bins": _is_int, "d": _is_int, "d_hm": _is_int,
+    "variant": lambda v: isinstance(v, str),
+    "share_bin_context": lambda v: isinstance(v, bool),
+    "mark_order": lambda v: v is None or (isinstance(v, list) and all(map(_is_int, v))),
+}
+
+
+def _read_header(path: str, head: bytes) -> tuple[ModelConfig, int, list[tuple[str, tuple]]]:
+    """Decode and validate the JSON header: config, seed and the ordered
+    (name, shape) block entries. Every defect raises ContractError."""
+    def bad(what: str) -> ContractError:
+        return ContractError(f"{path}: malformed checkpoint header: {what}")
+
+    try:
+        header = json.loads(head.decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError alike
+        raise bad(f"not UTF-8 JSON ({err})") from None
+    if not isinstance(header, dict) or set(header) != {"blocks", "config", "seed"}:
+        raise bad("expected exactly the keys blocks, config, seed")
+    config, seed, blocks = header["config"], header["seed"], header["blocks"]
+    if not _is_int(seed):
+        raise bad(f"seed {seed!r} is not an integer")
+    if not isinstance(config, dict) or set(config) != set(_CONFIG_FIELDS):
+        raise bad(f"config must have exactly the keys {', '.join(sorted(_CONFIG_FIELDS))}")
+    for key, valid in _CONFIG_FIELDS.items():
+        if not valid(config[key]):
+            raise bad(f"config {key} = {config[key]!r} has the wrong type")
+    if not isinstance(blocks, list):
+        raise bad("blocks is not a list")
+    entries = []
+    for entry in blocks:
+        if (not isinstance(entry, dict) or set(entry) != {"name", "shape"}
+                or not isinstance(entry["name"], str) or not isinstance(entry["shape"], list)
+                or not all(_is_int(n) and n >= 0 for n in entry["shape"])):
+            raise bad(f"block entry {entry!r} is not {{name, shape}}")
+        entries.append((entry["name"], tuple(entry["shape"])))
+    return ModelConfig.from_dict(config), seed, entries
+
+
 def load_checkpoint(path: str) -> tuple[ModelConfig, int, ParameterStore]:
+    """Read a container written by :func:`save_checkpoint`. A malformed
+    container raises ContractError; non-finite parameters IngestionError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     magic, _, rest = blob.partition(b"\n")
     if magic != CHECKPOINT_MAGIC:
         raise ContractError(f"{path}: not a checkpoint file")
     head, _, body = rest.partition(b"\n")
-    header = json.loads(head.decode("utf-8"))
-    cfg = ModelConfig.from_dict(header["config"])
-    seed = int(header["seed"])
+    cfg, seed, entries = _read_header(path, head)
 
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in header["blocks"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
+    for name, shape in entries:
+        size = math.prod(shape)
         raw = body[offset:offset + 8 * size]
         if len(raw) != 8 * size:
-            raise ContractError(f"{path}: truncated payload at block {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            raise ContractError(f"{path}: truncated payload at block {name}")
+        arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         offset += 8 * size
     if offset != len(body):
         raise ContractError(f"{path}: trailing bytes after last block")
 
     template = init_params(cfg, seed=0)
-    expected = [name for name, _ in template.named_blocks()]
-    if expected != [e["name"] for e in header["blocks"]]:
+    expected = [(name, v.shape) for name, v in template.named_blocks()]
+    if [name for name, _ in expected] != [name for name, _ in entries]:
         raise ContractError(f"{path}: block names do not match variant {cfg.variant!r}")
-    store = template.map_blocks(lambda name, v: arrays[name].copy() if arrays[name].shape == v.shape
-                                else _shape_error(path, name, arrays[name].shape, v.shape))
-    return cfg, seed, store
-
-
-def _shape_error(path, name, got, want):
-    raise ContractError(f"{path}: block {name} has shape {got}, expected {want}")
+    for name, want in expected:
+        if arrays[name].shape != want:
+            raise ContractError(f"{path}: block {name} has shape {arrays[name].shape}, "
+                                f"expected {want}")
+        if not np.isfinite(arrays[name]).all():
+            raise IngestionError(f"{path}: block {name} holds non-finite values")
+    return cfg, seed, template.map_blocks(lambda name, _: arrays[name].copy())

@@ -1,10 +1,10 @@
-"""Straight-line numpy recomputation of the hierarchical-attention forward
-pass, written without the autodiff graph.
+"""Straight-line numpy recomputation of every variant's forward pass,
+written without the autodiff graph.
 
 Deliberately structured differently from the production path: per-gate
-matrix products instead of stacked gates, per-sample loops instead of
-batched columns, and the raw exp/sum normalization instead of the
-max-subtracted softmax. Used as the independent oracle the tape-based
+matrix products instead of stacked gates, per-sample and per-mark loops
+instead of batched stacks, and the raw exp/sum normalization instead of
+the max-subtracted softmax. Used as the independent oracle the tape-based
 forward must agree with.
 """
 
@@ -42,27 +42,48 @@ def _normalize(scores):
     return e / e.sum()
 
 
-def straight_line_forward(x, params, cfg):
-    """Recompute the lstm-alpha-beta prediction for one (M, T) input.
+def _pool(hs, ctx):
+    weights = _normalize(np.array([ctx @ h for h in hs]))
+    return weights, sum(weights[t] * hs[t] for t in range(len(hs)))
 
-    Returns a dict with probs (low, high), alpha (M, T), beta (M,) and the
-    raw logits.
+
+def straight_line_forward(x, params, cfg):
+    """Recompute the prediction of any variant for one (M, T) input.
+
+    Returns a dict with probs (low, high), the raw logits, alpha
+    (n_rows, T) or None, and beta (M,) in original mark order or None.
     """
-    assert cfg.variant == "lstm-alpha-beta"
     n_m, n_t = cfg.n_marks, cfg.n_bins
+    alpha = beta = None
+
+    if cfg.variant in ("lstm", "lstm-attn"):
+        hs = _bilstm([x[:, t].copy() for t in range(n_t)], params.bin_lstms[0])
+        if cfg.variant == "lstm":
+            d = cfg.d
+            vec = np.concatenate([hs[-1][:d], hs[0][d:]])
+        else:
+            weights, vec = _pool(hs, params.bin_contexts[0])
+            alpha = weights[None, :]
+        logits = params.classifier_w @ vec + params.classifier_b
+        return {"probs": _normalize(logits), "alpha": alpha, "beta": beta, "logits": logits}
+
     alpha = np.zeros((n_m, n_t))
     summaries = []
     for j in range(n_m):
         xs = [np.array([x[j, t]]) for t in range(n_t)]
         hs = _bilstm(xs, params.bin_lstms[j])
         ctx = params.bin_contexts[0 if cfg.share_bin_context else j]
-        alpha[j] = _normalize(np.array([ctx @ h for h in hs]))
-        summaries.append(sum(alpha[j, t] * hs[t] for t in range(n_t)))
+        alpha[j], summary = _pool(hs, ctx)
+        summaries.append(summary)
+
+    if cfg.variant == "lstm-alpha":
+        hidden = np.tanh(params.hidden_w @ np.concatenate(summaries) + params.hidden_b)
+        logits = params.classifier_w @ hidden + params.classifier_b
+        return {"probs": _normalize(logits), "alpha": alpha, "beta": beta, "logits": logits}
 
     sequence = [summaries[j] for j in cfg.order]
     encoded = _bilstm(sequence, params.mark_lstm)
-    beta_seq = _normalize(np.array([params.mark_context @ s for s in encoded]))
-    gene_vec = sum(beta_seq[s] * encoded[s] for s in range(n_m))
+    beta_seq, gene_vec = _pool(encoded, params.mark_context)
 
     logits = params.classifier_w @ gene_vec + params.classifier_b
     beta = np.empty(n_m)

@@ -19,8 +19,8 @@ from trackattn.cli import main as cli_main
 from trackattn.data import SynthSpec, restrict_marks, split, synth_generate
 from trackattn.metrics import (ScoredSet, auc, interpretation_correlation, mean_attention,
                                predict_probs, saliency)
-from trackattn.model import (ModelConfig, forward, forward_batch, init_params,
-                             nll_loss_batch)
+from trackattn.model import (ModelConfig, extract_profiles, forward, forward_batch,
+                             init_params, nll_loss_batch)
 from trackattn.training import TrainConfig, train
 
 TINY = ModelConfig(n_marks=3, n_bins=8, d=4, d_hm=3, variant="lstm-alpha-beta")
@@ -103,12 +103,10 @@ def test_criterion_03_attention_validity():
     for round_idx in range(20):
         params = init_params(TINY, seed=int(rng.integers(2**31)))
         x = np.abs(rng.normal(size=(50, TINY.n_marks, TINY.n_bins)))
-        bf = forward_batch(x, params, TINY)
-        for weights in bf.alphas:
-            w = weights.data  # (T, B): columns are per-sample alpha rows
+        alpha, beta = extract_profiles(forward_batch(x, params, TINY), TINY)
+        for w in alpha:  # (T, B): columns are per-sample alpha rows
             assert (w >= 0).all()
             assert np.abs(w.sum(axis=0) - 1.0).max() <= 1e-9
-        beta = bf.betas.data
         assert (beta >= 0).all()
         assert np.abs(beta.sum(axis=0) - 1.0).max() <= 1e-9
         checked += x.shape[0]

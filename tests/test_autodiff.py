@@ -253,10 +253,6 @@ OP_CASES = [
     ("pick_cols", lambda m: ad.pick_cols(m, np.array([1, 0, 2])), [(3, 3)], {}),
     ("scale", lambda t: ad.scale(t, -2.5), [(3, 2)], {}),
     ("sum_all", ad.sum_all, [(3, 2)], {}),
-    ("col_scores", lambda v, a, b, c: ad.col_scores(v, [a, b, c]),
-     [(3,), (3, 2), (3, 2), (3, 2)], {}),
-    ("weighted_mix", lambda w, a, b: ad.weighted_mix(w, [a, b]),
-     [(2, 4), (3, 4), (3, 4)], {}),
 ]
 
 

@@ -56,6 +56,21 @@ def test_synth_same_seed_is_byte_identical(ws, tmp_path):
     assert (a / "relevance.csv").read_bytes() == (b / "relevance.csv").read_bytes()
 
 
+def test_majority_positive_synth_trains_through_cli(tmp_path):
+    # seed 6 plants 32 positives among 60 genes; the median split of the
+    # continuous expression still yields both classes
+    data = tmp_path / "data"
+    assert run("synth", "--out", str(data), "--n-genes", "60", "--n-marks", "2",
+               "--n-bins", "8", "--bins", "2:4", "--seed", "6") == 0
+    ds = load_dataset(str(data / "dataset.csv"), n_bins=8)
+    assert sum(s.expression_raw >= 1.0 for s in ds.samples) == 32
+    config = tmp_path / "train.cfg"
+    config.write_text(f"dataset = {data}/dataset.csv\nout_dir = {tmp_path}/run\n"
+                      "n_bins = 8\nd = 4\nd_hm = 2\nmax_epochs = 1\n")
+    assert run("train", "--config", str(config)) == 0
+    assert (tmp_path / "run" / "checkpoint.ckpt").exists()
+
+
 def test_synth_invalid_bin_range_leaves_no_files(tmp_path):
     out = tmp_path / "bad"
     assert run("synth", "--out", str(out), "--n-bins", "10", "--bins", "5:10") == 2
@@ -133,9 +148,9 @@ def test_eval_single_class_dataset_fails(ws, tmp_path, capsys):
     by_gene = {}
     for row in rows:
         by_gene.setdefault(row.split(",")[0], []).append(row)
-    # keep genes with expression 1.0 only -> all labels identical after binarize
-    positives = [g for g, lines in by_gene.items() if lines[0].rsplit(",", 1)[1] == "1.0"]
-    text = header + "\n" + "\n".join("\n".join(by_gene[g]) for g in positives[:6]) + "\n"
+    # six genes sharing one expression value -> all labels identical after binarize
+    kept = [row.rsplit(",", 1)[0] + ",1.0" for g in list(by_gene)[:6] for row in by_gene[g]]
+    text = header + "\n" + "\n".join(kept) + "\n"
     path = tmp_path / "oneclass.csv"
     path.write_text(text)
     assert run("eval", "--checkpoint", str(ws / "run" / "checkpoint.ckpt"),
@@ -213,6 +228,47 @@ def test_eval_and_attend_reruns_are_byte_identical(ws, tmp_path):
         assert a == b, name
 
 
+def test_attend_one_pass_matches_two_pass_maps(ws, tmp_path, monkeypatch):
+    from trackattn import metrics
+    from trackattn.data import binarize_labels
+    from trackattn.errors import MetricUndefinedError
+
+    ckpt, dataset = str(ws / "run" / "checkpoint.ckpt"), str(ws / "data" / "dataset.csv")
+    relevance = str(ws / "data" / "relevance.csv")
+    cfg, _, params = load_checkpoint(ckpt)
+    ds = binarize_labels(load_dataset(dataset, n_bins=cfg.n_bins))
+    # the two-pass reference: each map runs the model over every batch itself
+    attention = metrics.mean_attention(ds, params, cfg, 1)
+    sal = metrics.mean_saliency(ds, params, cfg, 1)
+    lines = ["mark,pearson_r"]
+    for m, ref in enumerate(load_relevance(relevance)):
+        try:
+            lines.append(f"{m},{metrics.interpretation_correlation(attention.alpha_mean[m], ref)!r}")
+        except MetricUndefinedError:
+            lines.append(f"{m},nan")
+    expected = {
+        "alpha.csv": metrics.map_to_csv(attention.alpha_mean, "alpha_mean"),
+        "beta.csv": metrics.beta_to_csv(attention.beta_mean),
+        "saliency.csv": metrics.map_to_csv(sal, "saliency"),
+        "correlation.csv": "\n".join(lines) + "\n",
+    }
+
+    batches = []
+    real = metrics.forward_batch
+
+    def counting(x, *args):
+        batches.append(x.shape[0])
+        return real(x, *args)
+
+    monkeypatch.setattr(metrics, "forward_batch", counting)
+    out = tmp_path / "maps"
+    assert run("attend", "--checkpoint", ckpt, "--dataset", dataset, "--class", "on",
+               "--out", str(out), "--reference", relevance) == 0
+    assert batches == [256, 44]
+    for name, text in expected.items():
+        assert (out / name).read_bytes() == text.encode("utf-8"), name
+
+
 def test_attend_empty_class(ws, tmp_path, capsys):
     assert run("train", "--config", str(ws / "train.cfg"),
                "--set", f"out_dir={tmp_path}/fresh0",
@@ -281,3 +337,53 @@ def test_attend_rejects_attention_free_variant(ws, tmp_path, capsys):
                "--dataset", str(ws / "data" / "dataset.csv"),
                "--class", "on", "--out", str(tmp_path / "mapsp")) == 2
     assert "no attention" in capsys.readouterr().err
+
+
+def _rewrite_checkpoint(src, dst, edit_header=None, edit_body=None):
+    magic, head, body = open(src, "rb").read().split(b"\n", 2)
+    if edit_header is not None:
+        header = json.loads(head)
+        head = edit_header(header)
+        if not isinstance(head, bytes):
+            head = json.dumps(header).encode("utf-8")
+    if edit_body is not None:
+        body = edit_body(body)
+    with open(dst, "wb") as fh:
+        fh.write(magic + b"\n" + head + b"\n" + body)
+
+
+MALFORMED_HEADERS = {
+    "missing_seed": lambda h: h.pop("seed"),
+    "extra_config_key": lambda h: h["config"].update(dropout=0.5),
+    "missing_config_key": lambda h: h["config"].pop("d_hm"),
+    "config_wrong_type": lambda h: h["config"].update(d="eight"),
+    "non_list_blocks": lambda h: h.update(blocks={"name": "classifier.w"}),
+    "block_entry_not_object": lambda h: h.update(blocks=["bin_lstm.0.fwd.w_i"] + h["blocks"][1:]),
+    "block_entry_bad_shape": lambda h: h["blocks"][0].update(shape=["1", 8]),
+    "block_entry_missing_name": lambda h: h["blocks"][0].pop("name"),
+    "undecodable_utf8": lambda h: b"\xff\xfe{",
+    "undecodable_json": lambda h: b'{"config": ',
+    "header_not_object": lambda h: b"[1, 2]",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_eval_malformed_checkpoint_header_is_a_config_error(ws, tmp_path, capsys, case):
+    path = str(tmp_path / "bad.ckpt")
+    _rewrite_checkpoint(str(ws / "run" / "checkpoint.ckpt"), path,
+                        edit_header=MALFORMED_HEADERS[case])
+    assert run("eval", "--checkpoint", path, "--dataset", str(ws / "data" / "dataset.csv"),
+               "--out", str(tmp_path / "m.json")) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_eval_non_finite_checkpoint_payload_is_a_data_error(ws, tmp_path, capsys):
+    path = str(tmp_path / "nan.ckpt")
+    nan = np.array([np.nan], dtype="<f8").tobytes()
+    _rewrite_checkpoint(str(ws / "run" / "checkpoint.ckpt"), path,
+                        edit_body=lambda body: body[:16] + nan + body[24:])
+    assert run("eval", "--checkpoint", path, "--dataset", str(ws / "data" / "dataset.csv"),
+               "--out", str(tmp_path / "m.json")) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "non-finite" in err

@@ -4,15 +4,16 @@ import os
 import numpy as np
 import pytest
 
-from _gradcheck import finite_diff_entries, max_rel_error
+from _gradcheck import assert_grads_match, finite_diff, finite_diff_entries, max_rel_error
 from _oracle import straight_line_forward
 from trackattn import autodiff as ad
 from trackattn.attention import AttentionParams, attend, attention_scores
 from trackattn.autodiff import Tensor
 from trackattn.errors import ContractError, DimensionError
 from trackattn.lstm import bilstm_encode
-from trackattn.model import (ModelConfig, ParameterStore, Prediction,
-                             forward, forward_batch, init_params, labels_to_class_indices,
+from trackattn.model import (ModelConfig, ParameterStore, Prediction, collect_input_gradients,
+                             extract_profiles, forward, forward_batch, init_params,
+                             _attend_steps, labels_to_class_indices,
                              load_checkpoint, logits_to_probs, loss, nll_loss_batch,
                              save_checkpoint)
 
@@ -75,6 +76,162 @@ def test_forward_matches_oracle_with_mark_order_and_per_mark_contexts():
     ref = straight_line_forward(x, params, cfg)
     assert abs(pred.prob_high - ref["probs"][1]) < 1e-12
     np.testing.assert_allclose(pred.attention.beta, ref["beta"], atol=1e-12)
+
+
+ORACLE_CONFIGS = [
+    (variant, share, order)
+    for variant in ("lstm", "lstm-attn", "lstm-alpha", "lstm-alpha-beta")
+    for share, order in ((True, None), (False, (2, 0, 1)))
+    if variant in ("lstm-alpha", "lstm-alpha-beta") or share
+]
+
+
+@pytest.mark.parametrize("variant,share,order", ORACLE_CONFIGS)
+def test_every_variant_matches_straight_line_oracle(variant, share, order):
+    cfg = tiny_cfg(variant, share_bin_context=share, mark_order=order)
+    params = init_params(cfg, seed=41)
+    x = np.random.default_rng(42).normal(size=(6, cfg.n_marks, cfg.n_bins))
+    bf = forward_batch(x, params, cfg)
+    probs = logits_to_probs(bf.logits.data)
+    alpha, beta = extract_profiles(bf, cfg)
+    for b in range(x.shape[0]):
+        ref = straight_line_forward(x[b], params, cfg)
+        assert np.abs(bf.logits.data[:, b] - ref["logits"]).max() < 1e-12
+        assert np.abs(probs[:, b] - ref["probs"]).max() < 1e-12
+        if ref["alpha"] is None:
+            assert alpha is None
+        else:
+            assert np.abs(alpha[:, :, b] - ref["alpha"]).max() < 1e-12
+        if ref["beta"] is None:
+            assert beta is None
+        else:
+            assert np.abs(beta[:, b] - ref["beta"]).max() < 1e-12
+
+
+FULL_SIZE = dict(n_marks=5, n_bins=100, d=32, d_hm=16)
+
+
+@pytest.mark.parametrize("variant", ["lstm", "lstm-attn", "lstm-alpha", "lstm-alpha-beta"])
+def test_full_size_gradient_sampled(variant):
+    # one sampled entry per block at the acceptance shapes, plus input cells
+    cfg = ModelConfig(variant=variant, **FULL_SIZE)
+    params = init_params(cfg, seed=51)
+    rng = np.random.default_rng(52)
+    x = np.abs(rng.normal(size=(2, cfg.n_marks, cfg.n_bins)))
+    labels = np.array([1, -1])
+
+    bf = forward_batch(x, params, cfg)
+    ad.backward(nll_loss_batch(bf.logits, labels))
+    input_grad = collect_input_gradients(bf, cfg)
+
+    def f():
+        return float(nll_loss_batch(forward_batch(x, params, cfg).logits, labels).data)
+
+    def sample(analytic, size):
+        # central differences of an O(1) loss carry ~1e-11 absolute roundoff
+        # at eps=1e-5, so only entries above 1e-6 resolve to 1e-4 relative
+        flat = np.abs(analytic.reshape(-1))
+        candidates = np.flatnonzero(flat >= 1e-6)
+        return rng.choice(candidates, size=min(size, candidates.size), replace=False)
+
+    checked = 0
+    for name, arr in params.named_blocks():
+        analytic = bf.leaves[name].adjoint
+        idx = sample(analytic, 1)
+        numeric = finite_diff_entries(f, arr, idx)
+        err = max_rel_error(analytic.reshape(-1)[idx], numeric)
+        assert err < 1e-4, f"{variant} block {name}: max rel err {err:.2e}"
+        checked += idx.size
+    cells = sample(input_grad, 8)
+    numeric = finite_diff_entries(f, x, cells)
+    err = max_rel_error(input_grad.reshape(-1)[cells], numeric)
+    assert err < 1e-4, f"{variant} input cells: max rel err {err:.2e}"
+    assert cells.size == 8 and checked >= len(list(params.named_blocks())) - 2
+
+
+@pytest.mark.parametrize("variant", ["lstm", "lstm-attn", "lstm-alpha", "lstm-alpha-beta"])
+def test_batch_columns_match_single_sample_passes(variant):
+    cfg = tiny_cfg(variant, share_bin_context=False, mark_order=(1, 2, 0))
+    params = init_params(cfg, seed=61)
+    x = np.random.default_rng(62).normal(size=(16, cfg.n_marks, cfg.n_bins))
+    bf = forward_batch(x, params, cfg)
+    alpha, beta = extract_profiles(bf, cfg)
+    for b in range(16):
+        one = forward_batch(x[b:b + 1], params, cfg)
+        alpha1, beta1 = extract_profiles(one, cfg)
+        assert np.abs(bf.logits.data[:, b] - one.logits.data[:, 0]).max() < 1e-12
+        if alpha is not None:
+            assert np.abs(alpha[:, :, b] - alpha1[:, :, 0]).max() < 1e-12
+        if beta is not None:
+            assert np.abs(beta[:, b] - beta1[:, 0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("variant", ["lstm-attn", "lstm-alpha-beta"])
+def test_input_gradients_land_on_their_sample_mark_and_bin(variant):
+    # the per-mark (T, M, 1, B) and joint (T, 1, M, B) input layouts must
+    # both map back onto (B, M, T): checked cell by cell against central
+    # differences of the summed logit of class 1
+    cfg = tiny_cfg(variant)
+    params = init_params(cfg, seed=71)
+    rng = np.random.default_rng(72)
+    x = rng.normal(size=(3, cfg.n_marks, cfg.n_bins))
+    bf = forward_batch(x, params, cfg)
+    ad.backward(ad.sum_all(ad.slice0(bf.logits, 1, 2)))
+    grads = collect_input_gradients(bf, cfg)
+    assert grads.shape == x.shape
+
+    def f():
+        return float(forward_batch(x, params, cfg).logits.data[1].sum())
+
+    cells = rng.choice(x.size, size=12, replace=False)
+    numeric = finite_diff_entries(f, x, cells)
+    assert max_rel_error(grads.reshape(-1)[cells], numeric) < 1e-6
+
+
+@pytest.mark.parametrize("n_contexts", [1, 3])
+def test_attention_pool_gradients_match_finite_differences(n_contexts):
+    # the pool over a (T, K, d_h, B) stack with one shared context or one
+    # per sequence; the weights are the max-subtracted softmax over T
+    rng = np.random.default_rng(91)
+    steps = rng.normal(size=(4, 3, 2, 5))
+    contexts = [rng.normal(size=2) for _ in range(n_contexts)]
+    mix = rng.normal(size=(3, 2, 5))
+
+    def run(*arrays):
+        weights, pooled = _attend_steps(Tensor(arrays[0]), [Tensor(c) for c in arrays[1:]])
+        return float((pooled.data * mix).sum()), weights
+
+    leaves = [Tensor(steps)] + [Tensor(c) for c in contexts]
+    weights, pooled = _attend_steps(leaves[0], leaves[1:])
+    ad.backward(ad.sum_all(ad.hadamard(pooled, Tensor(mix))))
+    np.testing.assert_allclose(weights.sum(axis=0), 1.0, atol=1e-15)
+    numeric = finite_diff(lambda *arrays: run(*arrays)[0], [steps] + contexts)
+    for leaf, num in zip(leaves, numeric):
+        assert_grads_match(leaf.adjoint, num)
+    with pytest.raises(DimensionError):
+        _attend_steps(leaves[0], [leaves[1]] * 2)      # neither shared nor one per sequence
+
+
+def graph_nodes(root):
+    seen, stack = set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t.parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("variant,bound", [("lstm", 60), ("lstm-attn", 60),
+                                           ("lstm-alpha", 200), ("lstm-alpha-beta", 200)])
+def test_training_step_graph_stays_small(variant, bound):
+    # one scan node per encoder and one pool node per attention level; the
+    # count does not grow with T or B (the parameter leaves dominate it)
+    cfg = ModelConfig(n_marks=5, n_bins=12, variant=variant)
+    x = np.random.default_rng(81).normal(size=(16, 5, 12))
+    labels = np.where(np.arange(16) % 2 == 0, 1, -1)
+    root = nll_loss_batch(forward_batch(x, init_params(cfg, seed=0), cfg).logits, labels)
+    assert graph_nodes(root) <= bound
 
 
 def test_loss_examples():
