@@ -237,11 +237,18 @@ def cmd_attend(args) -> int:
     if cfg.variant == "lstm":
         raise ContractError(f"variant {cfg.variant!r} produces no attention maps")
     predicted_class = 1 if args.predicted_class == "on" else -1
+    reference = data_mod.load_relevance(args.reference) if args.reference else None
 
     # one forward and one backward pass per batch serve both maps
     sums = metrics_mod.ClassSums()
     sal = metrics_mod.mean_saliency(dataset, params, cfg, predicted_class, sums=sums)
     attention = metrics_mod.mean_attention(dataset, params, cfg, predicted_class, sums=sums)
+
+    if reference is not None and (reference.shape[0] < attention.alpha_mean.shape[0]
+                                  or reference.shape[1] != cfg.n_bins):
+        raise _DataError(
+            f"reference shape {reference.shape} does not cover attention "
+            f"({attention.alpha_mean.shape[0]}, {cfg.n_bins})")
 
     os.makedirs(args.out, exist_ok=True)
     metrics_mod.write_map_csv(os.path.join(args.out, "alpha.csv"),
@@ -250,12 +257,7 @@ def cmd_attend(args) -> int:
         metrics_mod.write_beta_csv(os.path.join(args.out, "beta.csv"), attention.beta_mean)
     metrics_mod.write_map_csv(os.path.join(args.out, "saliency.csv"), sal, "saliency")
 
-    if args.reference:
-        reference = data_mod.load_relevance(args.reference)
-        if reference.shape[0] < attention.alpha_mean.shape[0] or reference.shape[1] != cfg.n_bins:
-            raise _DataError(
-                f"reference shape {reference.shape} does not cover attention "
-                f"({attention.alpha_mean.shape[0]}, {cfg.n_bins})")
+    if reference is not None:
         lines = ["mark,pearson_r"]
         for m in range(attention.alpha_mean.shape[0]):
             try:

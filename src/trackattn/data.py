@@ -5,7 +5,10 @@ The on-disk dataset format is comma-separated text with header
 (gene, bin) pair. Bins are integers in [0, T); signals are non-negative
 reals; the expression value repeats identically on every row of a gene.
 Floats are written with shortest round-trip formatting so that a
-write-then-read cycle reproduces a dataset bit-exactly.
+write-then-read cycle reproduces a dataset bit-exactly. Ingest tokenises
+with the ``csv`` module and checks and converts each block of records as
+numpy columns; ``mark,bin,<value>`` maps (relevance sidecars, attention
+and saliency maps) share one writer and one reader.
 
 Synthetic datasets plant an additive effect in one mark over a bin
 window for positive samples, on top of folded-Gaussian noise everywhere;
@@ -16,7 +19,9 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -91,9 +96,32 @@ def load_dataset(path: str, n_bins: int, arcsinh: bool = False) -> Dataset:
 
     Labels are left unset; expression values are captured for later
     binarization. The optional arcsinh flag compresses raw-count signals.
+    A malformed file raises IngestionError citing its first bad line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _csv_text(path) as fh:
         return _parse_dataset(fh, path, n_bins, arcsinh)
+
+
+@contextmanager
+def _csv_text(path: str):
+    """Open a csv input file; text that is not UTF-8 and records the csv
+    module refuses (a field over its size limit) raise IngestionError."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as err:
+            raise IngestionError(f"{path}: not UTF-8 text ({err.reason})") from None
+        except csv.Error as err:
+            raise IngestionError(f"{path}: malformed CSV record ({err})") from None
+
+
+# Records are parsed this many at a time: enough to amortise each
+# vectorised pass, few enough that a block's cells stay small.
+_BLOCK_ROWS = 8192
+
+# The row checks, in the order a row reports them: a file fails at its
+# first bad row, and that row with the first of these it fails.
+_FIELDS, _BIN_TEXT, _BIN_RANGE, _NUMBER, _SIGNAL, _EXPRESSION, _DUPLICATE, _MISMATCH = range(1, 9)
 
 
 def _parse_dataset(fh, path: str, n_bins: int, arcsinh: bool) -> Dataset:
@@ -105,58 +133,181 @@ def _parse_dataset(fh, path: str, n_bins: int, arcsinh: bool) -> Dataset:
     if len(header) < 4 or header[0] != "gene_id" or header[1] != "bin" or header[-1] != "expression":
         raise IngestionError(f"{path}: header must be gene_id,bin,<marks...>,expression", line=1)
     mark_names = header[2:-1]
-    n_marks = len(mark_names)
 
-    per_gene: dict[str, dict] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != n_marks + 3:
-            raise IngestionError(f"expected {n_marks + 3} fields, got {len(row)}", line=lineno)
-        gene_id = row[0]
-        try:
-            bin_idx = int(row[1])
-        except ValueError:
-            raise IngestionError(f"non-integer bin {row[1]!r}", line=lineno) from None
-        if not 0 <= bin_idx < n_bins:
-            raise IngestionError(f"bin {bin_idx} outside [0, {n_bins})", line=lineno)
-        try:
-            signals = [float(v) for v in row[2:-1]]
-            expression = float(row[-1])
-        except ValueError:
-            raise IngestionError(f"non-numeric value in {row[2:]!r}", line=lineno) from None
-        if any(not np.isfinite(v) or v < 0 for v in signals):
-            raise IngestionError("negative or non-finite signal", line=lineno)
-        if not np.isfinite(expression):
-            raise IngestionError("non-finite expression", line=lineno)
+    table = _GeneTable(len(mark_names), n_bins)
+    lineno = 2
+    while rows := list(islice(reader, _BLOCK_ROWS)):
+        table.add(rows, lineno)
+        lineno += len(rows)
+    return table.dataset(path, mark_names, arcsinh)
 
-        entry = per_gene.setdefault(
-            gene_id, {"values": np.zeros((n_marks, n_bins)), "seen": {}, "expr": expression,
-                      "first_line": lineno})
-        if bin_idx in entry["seen"]:
+
+class _GeneTable:
+    """Columnar accumulator for dataset records, one block at a time.
+
+    Genes are numbered in order of first appearance, and the cell of
+    (gene, bin) is keyed ``gene * n_bins + bin``. ``key_line`` holds the
+    line that filled each key (0 while unfilled), so duplicate and missing
+    bins are array lookups. Checked blocks are kept as (keys, numbers)
+    columns and scattered into one (N, n_marks, n_bins) array at the end.
+    """
+
+    def __init__(self, n_marks: int, n_bins: int):
+        self.n_marks, self.n_bins = n_marks, n_bins
+        self.index: dict[str, int] = {}
+        self.expr = np.zeros(0)                     # per gene: expression of its first row
+        self.gene_line = np.zeros(0, np.int64)     # per gene: line of its first row
+        self.key_line = np.zeros(0, np.int64)
+        self.blocks: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def add(self, rows: list[list[str]], first_line: int) -> None:
+        """Check and keep one block of records, the first on ``first_line``;
+        blank records are skipped. Raises at the block's first bad row."""
+        n_fields = self.n_marks + 3
+        widths = np.fromiter(map(len, rows), np.intp, len(rows))
+        codes = np.where((widths != 0) & (widths != n_fields), _FIELDS, 0)
+        whole = np.flatnonzero(widths == n_fields)
+        cells = np.array([rows[i] for i in whole], dtype=object).reshape(whole.size, n_fields)
+        lines = first_line + whole
+
+        n_known = len(self.index)
+        genes = cells[:, 0].tolist()
+        for gene_id in dict.fromkeys(genes):
+            self.index.setdefault(gene_id, len(self.index))
+        gene = np.fromiter(map(self.index.__getitem__, genes), np.int64, len(genes))
+        bins, bin_text = _ints(cells[:, 1])
+        numbers, number_bad = _floats(cells[:, 2:])
+        signals, expression = numbers[:, :-1], numbers[:, -1]
+
+        self._reserve(len(self.index))
+        ids, first = np.unique(gene, return_index=True)
+        new = ids >= n_known
+        self.expr[ids[new]] = expression[first[new]]
+        self.gene_line[ids[new]] = lines[first[new]]
+
+        # np.select takes the first true condition, so placeholder values
+        # of rejected cells never reach a later check
+        local = np.select([
+            bin_text,
+            (bins < 0) | (bins >= self.n_bins),
+            number_bad,
+            (~np.isfinite(signals) | (signals < 0)).any(axis=1),
+            ~np.isfinite(expression),
+        ], [_BIN_TEXT, _BIN_RANGE, _NUMBER, _SIGNAL, _EXPRESSION], 0)
+        ok = local == 0
+        keys = gene[ok] * self.n_bins + bins[ok]
+        _, key_first, key_inverse = np.unique(keys, return_index=True, return_inverse=True)
+        earlier = self.key_line[keys]
+        seen_at = np.zeros_like(lines)
+        seen_at[ok] = np.where(earlier > 0, earlier, lines[ok][key_first[key_inverse]])
+        duplicate = seen_at[ok] != lines[ok]
+        mismatch = ~duplicate & (expression[ok] != self.expr[gene[ok]])
+        local[ok] = np.select([duplicate, mismatch], [_DUPLICATE, _MISMATCH], 0)
+        codes[whole] = local
+
+        bad = np.flatnonzero(codes)
+        if bad.size:
+            j = int(bad[0])
+            i = np.searchsorted(whole, j)   # j's row among the whole records, if it is one
+            if i == whole.size:
+                raise self._row_error(int(codes[j]), rows[j], first_line + j)
+            raise self._row_error(int(codes[j]), rows[j], first_line + j,
+                                  int(seen_at[i]), float(self.expr[gene[i]]))
+        self.key_line[keys] = lines
+        self.blocks.append((keys, numbers))
+
+    def _reserve(self, n_genes: int) -> None:
+        if n_genes <= self.expr.size:
+            return
+        cap = max(n_genes, 2 * self.expr.size)
+        self.expr = _grown(self.expr, cap)
+        self.gene_line = _grown(self.gene_line, cap)
+        self.key_line = _grown(self.key_line, cap * self.n_bins)
+
+    def _row_error(self, code: int, row: list[str], line: int, seen_at: int = 0,
+                   first_expr: float = 0.0) -> IngestionError:
+        """The error for a row failing check ``code``; a duplicate cites
+        ``seen_at``, a mismatch the gene's ``first_expr``."""
+        if code == _FIELDS:
+            message = f"expected {self.n_marks + 3} fields, got {len(row)}"
+        elif code == _BIN_TEXT:
+            message = f"non-integer bin {row[1]!r}"
+        elif code == _BIN_RANGE:
+            message = f"bin {int(row[1])} outside [0, {self.n_bins})"
+        elif code == _NUMBER:
+            message = f"non-numeric value in {row[2:]!r}"
+        elif code == _SIGNAL:
+            message = "negative or non-finite signal"
+        elif code == _EXPRESSION:
+            message = "non-finite expression"
+        elif code == _DUPLICATE:
+            message = (f"duplicate (gene, bin) pair ({row[0]!r}, {int(row[1])}); "
+                       f"first at line {seen_at}")
+        else:
+            message = (f"inconsistent expression for gene {row[0]!r}: "
+                       f"{float(row[-1])!r} vs {first_expr!r}")
+        return IngestionError(message, line=line)
+
+    def dataset(self, path: str, mark_names: list[str], arcsinh: bool) -> Dataset:
+        n, n_bins = len(self.index), self.n_bins
+        if not n:
+            raise IngestionError(f"{path}: no samples")
+        filled = self.key_line[:n * n_bins].reshape(n, n_bins) > 0
+        incomplete = np.flatnonzero(~filled.all(axis=1))
+        if incomplete.size:
+            g = incomplete[0]
+            missing = np.flatnonzero(~filled[g]).tolist()
             raise IngestionError(
-                f"duplicate (gene, bin) pair ({gene_id!r}, {bin_idx}); "
-                f"first at line {entry['seen'][bin_idx]}", line=lineno)
-        if expression != entry["expr"]:
-            raise IngestionError(
-                f"inconsistent expression for gene {gene_id!r}: "
-                f"{expression!r} vs {entry['expr']!r}", line=lineno)
-        entry["seen"][bin_idx] = lineno
-        entry["values"][:, bin_idx] = signals
+                f"gene {list(self.index)[g]!r} is missing bins {missing[:5]}"
+                f"{'...' if len(missing) > 5 else ''}", line=int(self.gene_line[g]))
 
-    if not per_gene:
-        raise IngestionError(f"{path}: no samples")
+        values = np.empty((n, self.n_marks, n_bins))
+        for keys, numbers in self.blocks:
+            values[keys // n_bins, :, keys % n_bins] = numbers[:, :-1]
+        self.blocks = []
+        if arcsinh:
+            np.arcsinh(values, out=values)
+        samples = [GeneSample(gene_id, SignalMatrix(x), expression_raw=e)
+                   for gene_id, x, e in zip(self.index, values, self.expr[:n].tolist())]
+        return Dataset(samples, mark_names, n_bins)
 
-    samples = []
-    for gene_id, entry in per_gene.items():
-        if len(entry["seen"]) != n_bins:
-            missing = sorted(set(range(n_bins)) - set(entry["seen"]))
-            raise IngestionError(
-                f"gene {gene_id!r} is missing bins {missing[:5]}"
-                f"{'...' if len(missing) > 5 else ''}", line=entry["first_line"])
-        values = np.arcsinh(entry["values"]) if arcsinh else entry["values"]
-        samples.append(GeneSample(gene_id, SignalMatrix(values), expression_raw=entry["expr"]))
-    return Dataset(samples, mark_names, n_bins)
+
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    out = np.zeros(size, a.dtype)
+    out[:a.size] = a
+    return out
+
+
+def _parsed(convert, text: str):
+    try:
+        return convert(text)
+    except ValueError:
+        return None
+
+
+def _ints(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``int()`` of each cell, and the mask of cells it rejects (read as
+    -1). A value too wide for int64 also reads as -1, outside every range."""
+    try:
+        return cells.astype(np.int64), np.zeros(cells.size, bool)
+    except (ValueError, OverflowError):
+        parsed = [_parsed(int, text) for text in cells]
+        rejected = np.array([v is None for v in parsed], bool)
+        fits = [v if v is not None and 0 <= v < 2**62 else -1 for v in parsed]
+        return np.array(fits, np.int64), rejected
+
+
+def _floats(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``float()`` of each cell of a 2-D block (the object-to-float64 cast
+    calls it per cell), and the mask of rows holding a cell it rejects,
+    whose values read as NaN."""
+    try:
+        return cells.astype(np.float64), np.zeros(len(cells), bool)
+    except ValueError:
+        parsed = [_parsed(float, text) for text in cells.ravel()]
+        values = np.array([np.nan if v is None else v for v in parsed]).reshape(cells.shape)
+        rejected = np.array([v is None for v in parsed], bool).reshape(cells.shape)
+        return values, rejected.any(axis=1)
 
 
 def _fmt(v: float) -> str:
@@ -164,6 +315,13 @@ def _fmt(v: float) -> str:
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
+    """The dataset in the file format that :func:`load_dataset` reads back
+    bit for bit. Names are written unquoted, so a gene id or mark name
+    holding a comma, a double quote or a line break raises ContractError."""
+    for name in [*dataset.mark_names, *(s.gene_id for s in dataset.samples)]:
+        if any(c in name for c in ',"\r\n'):
+            raise ContractError(f"name {name!r} holds a comma, quote or line break, "
+                                "which the dataset format cannot write")
     out = io.StringIO()
     out.write("gene_id,bin," + ",".join(dataset.mark_names) + ",expression\n")
     for s in dataset.samples:
@@ -296,39 +454,58 @@ def restrict_marks(dataset: Dataset, mark_indices) -> Dataset:
     return Dataset(samples, [dataset.mark_names[i] for i in idx], dataset.n_bins)
 
 
-def relevance_to_csv(relevance: np.ndarray) -> str:
+def map_to_csv(values: np.ndarray, column: str) -> str:
+    """A (marks, bins) map as a ``mark,bin,<column>`` table, one row per cell."""
     out = io.StringIO()
-    out.write("mark,bin,relevance\n")
-    for m in range(relevance.shape[0]):
-        for b in range(relevance.shape[1]):
-            out.write(f"{m},{b},{_fmt(relevance[m, b])}\n")
+    out.write(f"mark,bin,{column}\n")
+    for m in range(values.shape[0]):
+        for b in range(values.shape[1]):
+            out.write(f"{m},{b},{_fmt(values[m, b])}\n")
     return out.getvalue()
 
 
+def read_map_csv(path: str, column: str | None = None) -> np.ndarray:
+    """Read a ``mark,bin,<column>`` table (any value column when ``column``
+    is None) into a dense (marks, bins) matrix; cells it leaves out read
+    as 0. A malformed row, a negative index, a repeated cell or a
+    non-finite value raises IngestionError citing its line."""
+    cells: dict[tuple[int, int], float] = {}
+    lines: dict[tuple[int, int], int] = {}
+    with _csv_text(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if (header is None or len(header) != 3 or header[:2] != ["mark", "bin"]
+                or column not in (None, header[2])):
+            raise IngestionError(f"{path}: expected header mark,bin,{column or '<value>'}", line=1)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise IngestionError(f"expected 3 fields, got {len(row)}", line=lineno)
+            try:
+                m, b, value = int(row[0]), int(row[1]), float(row[2])
+            except ValueError:
+                raise IngestionError(f"malformed {header[2]} row {row!r}", line=lineno) from None
+            if m < 0 or b < 0:
+                raise IngestionError(f"negative mark or bin in {row!r}", line=lineno)
+            if not np.isfinite(value):
+                raise IngestionError(f"non-finite {header[2]} {row[2]!r}", line=lineno)
+            if (m, b) in cells:
+                raise IngestionError(f"duplicate cell ({m}, {b}); first at line {lines[m, b]}",
+                                     line=lineno)
+            cells[m, b], lines[m, b] = value, lineno
+    if not cells:
+        raise IngestionError(f"{path}: no {header[2]} entries")
+    out = np.zeros((max(m for m, _ in cells) + 1, max(b for _, b in cells) + 1))
+    for (m, b), value in cells.items():
+        out[m, b] = value
+    return out
+
+
 def save_relevance(path: str, relevance: np.ndarray) -> None:
-    atomic_write_text(path, relevance_to_csv(relevance))
+    atomic_write_text(path, map_to_csv(relevance, "relevance"))
 
 
 def load_relevance(path: str) -> np.ndarray:
     """Read a mark,bin,relevance sidecar back into a dense matrix."""
-    entries = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["mark", "bin", "relevance"]:
-            raise IngestionError(f"{path}: expected header mark,bin,relevance", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                entries[(int(row[0]), int(row[1]))] = float(row[2])
-            except (ValueError, IndexError):
-                raise IngestionError(f"malformed relevance row {row!r}", line=lineno) from None
-    if not entries:
-        raise IngestionError(f"{path}: no relevance entries")
-    n_m = max(k[0] for k in entries) + 1
-    n_b = max(k[1] for k in entries) + 1
-    rel = np.zeros((n_m, n_b))
-    for (m, b), v in entries.items():
-        rel[m, b] = v
-    return rel
+    return read_map_csv(path, "relevance")

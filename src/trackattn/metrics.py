@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import Dataset
+from .data import Dataset, map_to_csv, read_map_csv  # read_map_csv: re-exported with the map writers
 from .errors import ContractError, DimensionError, MetricUndefinedError
 from .ioutil import atomic_write_text
 from .autodiff import Tensor
@@ -249,36 +249,8 @@ def write_metrics_report(path: str, scored: ScoredSet) -> None:
                                                 scored.labels.size, n_pos, n_neg))
 
 
-def map_to_csv(values: np.ndarray, column: str) -> str:
-    out = io.StringIO()
-    out.write(f"mark,bin,{column}\n")
-    for m in range(values.shape[0]):
-        for b in range(values.shape[1]):
-            out.write(f"{m},{b},{repr(float(values[m, b]))}\n")
-    return out.getvalue()
-
-
 def write_map_csv(path: str, values: np.ndarray, column: str) -> None:
     atomic_write_text(path, map_to_csv(values, column))
-
-
-def read_map_csv(path: str) -> np.ndarray:
-    rows = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 3 or header[:2] != ["mark", "bin"]:
-            raise ContractError(f"{path}: expected a mark,bin,<value> table")
-        for line in fh:
-            if not line.strip():
-                continue
-            m, b, v = line.strip().split(",")
-            rows[(int(m), int(b))] = float(v)
-    n_m = max(k[0] for k in rows) + 1
-    n_b = max(k[1] for k in rows) + 1
-    out = np.zeros((n_m, n_b))
-    for (m, b), v in rows.items():
-        out[m, b] = v
-    return out
 
 
 def beta_to_csv(beta: np.ndarray) -> str:

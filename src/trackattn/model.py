@@ -66,7 +66,7 @@ class ModelConfig:
             raise ContractError("n_marks, n_bins, d and d_hm must all be >= 1")
         if self.mark_order is not None:
             order = tuple(int(i) for i in self.mark_order)
-            if sorted(order) != list(range(self.n_marks)):
+            if len(order) != self.n_marks or sorted(order) != list(range(self.n_marks)):
                 raise ContractError(f"mark_order {order} is not a permutation of 0..{self.n_marks - 1}")
             self.mark_order = order
 
@@ -173,25 +173,18 @@ class ParameterStore:
         return sum(v.size for _, v in self.named_blocks())
 
 
-def init_params(cfg: ModelConfig, seed: int) -> ParameterStore:
-    """Draw every weight uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); biases
-    start at zero except the forget gate, which starts at one."""
-    rng = np.random.default_rng(seed)
-
-    def u(fan_in, shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    def lstm(n_in, d):
-        kwargs = {}
-        for g in GATES:
-            kwargs[f"w_{g}"] = u(n_in, (d, n_in))
-            kwargs[f"u_{g}"] = u(d, (d, d))
-            kwargs[f"b_{g}"] = np.ones(d) if g == "f" else np.zeros(d)
-        return LstmParams(**kwargs)
+def _skeleton(cfg: ModelConfig) -> ParameterStore:
+    """cfg's parameter store with every block a read-only placeholder of
+    its shape that holds no memory (a broadcast view of one scalar), so
+    block names and shapes are known before anything is allocated."""
+    def block(*shape):
+        return np.broadcast_to(np.float64(0.0), shape)
 
     def bilstm(n_in, d):
-        return BiLstmParams(lstm(n_in, d), lstm(n_in, d))
+        def lstm():
+            return LstmParams(**{f"{kind}_{g}": block(*shape) for g in GATES
+                                 for kind, shape in (("w", (d, n_in)), ("u", (d, d)), ("b", (d,)))})
+        return BiLstmParams(lstm(), lstm())
 
     per_mark = cfg.variant in PER_MARK_VARIANTS
     if per_mark:
@@ -202,17 +195,17 @@ def init_params(cfg: ModelConfig, seed: int) -> ParameterStore:
     bin_contexts: list[np.ndarray] = []
     if cfg.variant != "lstm":
         n_ctx = cfg.n_marks if (per_mark and not cfg.share_bin_context) else 1
-        bin_contexts = [u(2 * cfg.d, (2 * cfg.d,)) for _ in range(n_ctx)]
+        bin_contexts = [block(2 * cfg.d) for _ in range(n_ctx)]
 
     mark_lstm = mark_context = None
     hidden_w = hidden_b = None
     if cfg.variant == "lstm-alpha-beta":
         mark_lstm = bilstm(2 * cfg.d, cfg.d_hm)
-        mark_context = u(2 * cfg.d_hm, (2 * cfg.d_hm,))
+        mark_context = block(2 * cfg.d_hm)
         clf_in = 2 * cfg.d_hm
     elif cfg.variant == "lstm-alpha":
-        hidden_w = u(cfg.n_marks * 2 * cfg.d, (ALPHA_HEAD_WIDTH, cfg.n_marks * 2 * cfg.d))
-        hidden_b = np.zeros(ALPHA_HEAD_WIDTH)
+        hidden_w = block(ALPHA_HEAD_WIDTH, cfg.n_marks * 2 * cfg.d)
+        hidden_b = block(ALPHA_HEAD_WIDTH)
         clf_in = ALPHA_HEAD_WIDTH
     else:
         clf_in = 2 * cfg.d
@@ -224,9 +217,28 @@ def init_params(cfg: ModelConfig, seed: int) -> ParameterStore:
         mark_context=mark_context,
         hidden_w=hidden_w,
         hidden_b=hidden_b,
-        classifier_w=u(clf_in, (2, clf_in)),
-        classifier_b=np.zeros(2),
+        classifier_w=block(2, clf_in),
+        classifier_b=block(2),
     )
+
+
+def init_params(cfg: ModelConfig, seed: int) -> ParameterStore:
+    """Draw every weight uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), fan_in
+    being its last dimension, in block order; biases start at zero except
+    the forget gate's, which start at one."""
+    rng = np.random.default_rng(seed)
+    skeleton = _skeleton(cfg)
+    drawn = {}
+    for name, block in skeleton.named_blocks():
+        field_name = name.rsplit(".", 1)[-1]
+        if field_name == "b_f":
+            drawn[name] = np.ones(block.shape)
+        elif field_name == "b" or field_name.startswith("b_"):
+            drawn[name] = np.zeros(block.shape)
+        else:
+            bound = 1.0 / np.sqrt(block.shape[-1])
+            drawn[name] = rng.uniform(-bound, bound, size=block.shape)
+    return skeleton.map_blocks(lambda name, _: drawn[name])
 
 
 # ------------------------------------------------------------- forward pass
@@ -498,9 +510,22 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, int, ParameterStore]:
     head, _, body = rest.partition(b"\n")
     cfg, seed, entries = _read_header(path, head)
 
+    # Compare names and shapes with the config's before allocating, so
+    # that a header cannot ask for more memory than its payload holds.
+    # Per-mark variants have over 20 blocks per mark.
+    if cfg.variant in PER_MARK_VARIANTS and cfg.n_marks > len(entries):
+        raise ContractError(f"{path}: block names do not match variant {cfg.variant!r}")
+    skeleton = _skeleton(cfg)
+    expected = [(name, block.shape) for name, block in skeleton.named_blocks()]
+    if [name for name, _ in expected] != [name for name, _ in entries]:
+        raise ContractError(f"{path}: block names do not match variant {cfg.variant!r}")
+    for (name, want), (_, shape) in zip(expected, entries):
+        if shape != want:
+            raise ContractError(f"{path}: block {name} has shape {shape}, expected {want}")
+
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for name, shape in entries:
+    for name, shape in expected:
         size = math.prod(shape)
         raw = body[offset:offset + 8 * size]
         if len(raw) != 8 * size:
@@ -509,15 +534,7 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, int, ParameterStore]:
         offset += 8 * size
     if offset != len(body):
         raise ContractError(f"{path}: trailing bytes after last block")
-
-    template = init_params(cfg, seed=0)
-    expected = [(name, v.shape) for name, v in template.named_blocks()]
-    if [name for name, _ in expected] != [name for name, _ in entries]:
-        raise ContractError(f"{path}: block names do not match variant {cfg.variant!r}")
-    for name, want in expected:
-        if arrays[name].shape != want:
-            raise ContractError(f"{path}: block {name} has shape {arrays[name].shape}, "
-                                f"expected {want}")
-        if not np.isfinite(arrays[name]).all():
+    for name, value in arrays.items():
+        if not np.isfinite(value).all():
             raise IngestionError(f"{path}: block {name} holds non-finite values")
-    return cfg, seed, template.map_blocks(lambda name, _: arrays[name].copy())
+    return cfg, seed, skeleton.map_blocks(lambda name, _: arrays[name])

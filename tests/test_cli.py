@@ -208,6 +208,34 @@ def test_attend_exports_and_correlation(ws, tmp_path):
     assert r_informative >= 0.5
 
 
+# rows after the header ({good} stands for the 60 rows of the synth sidecar,
+# on lines 2-61) and the line the error must cite (None: no line, the
+# sidecar is well formed but does not cover the 3 x 20 attention map)
+BAD_SIDECARS = {
+    "too_few_bins": ("0,0,1.0\n", None),
+    "only_negative_mark": ("-1,0,1.0\n", 2),
+    "negative_mark_among_good_rows": ("{good}-1,0,1.0\n", 62),
+    "duplicate_cell": ("{good}0,3,0.5\n", 62),
+    "nan_relevance": ("{good}2,20,nan\n", 62),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIDECARS))
+def test_attend_rejects_malformed_reference(ws, tmp_path, capsys, case):
+    good = open(ws / "data" / "relevance.csv").read().split("\n", 1)[1]
+    rows, line = BAD_SIDECARS[case]
+    sidecar = tmp_path / "rel.csv"
+    sidecar.write_text("mark,bin,relevance\n" + rows.format(good=good))
+    out = tmp_path / "maps"
+    assert run("attend", "--checkpoint", str(ws / "run" / "checkpoint.ckpt"),
+               "--dataset", str(ws / "data" / "dataset.csv"), "--class", "on",
+               "--out", str(out), "--reference", str(sidecar)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert f"line {line}:" in err if line else "does not cover attention" in err
+    assert not out.exists()
+
+
 def test_eval_and_attend_reruns_are_byte_identical(ws, tmp_path):
     ckpt = str(ws / "run" / "checkpoint.ckpt")
     dataset = str(ws / "data" / "dataset.csv")

@@ -1,11 +1,16 @@
+import struct
+from unittest import mock
+
+import _reference_ingest as reference_ingest
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trackattn import data as data_module
 from trackattn.data import (Dataset, GeneSample, SignalMatrix, SynthSpec, binarize_labels,
-                            dataset_to_csv, load_dataset, load_relevance, restrict_marks,
-                            save_dataset, save_relevance, split, synth_generate)
+                            dataset_to_csv, load_dataset, load_relevance, read_map_csv,
+                            restrict_marks, save_dataset, save_relevance, split, synth_generate)
 from trackattn.errors import ContractError, IngestionError
 
 FIXTURE = """\
@@ -279,3 +284,232 @@ def test_relevance_round_trip(tmp_path):
     path = str(tmp_path / "rel.csv")
     save_relevance(path, rel)
     np.testing.assert_array_equal(load_relevance(path), rel)
+
+
+# ------------------------------------------------ ingest against the row oracle
+
+def _outcome(load, path, n_bins, arcsinh=False):
+    """What a loader makes of a file, in comparable form: the dataset down
+    to its float bits, or the IngestionError's message and line. Any other
+    exception propagates and fails the calling test."""
+    try:
+        ds = load(path, n_bins, arcsinh)
+    except IngestionError as err:
+        return "error", str(err), err.line
+    return ("ok", ds.mark_names, ds.n_bins,
+            [(s.gene_id, s.label, s.x.values.dtype, s.x.values.shape, s.x.values.tobytes(),
+              struct.pack("<d", s.expression_raw)) for s in ds.samples])
+
+
+def assert_same_ingest(path, n_bins, arcsinh=False):
+    got = _outcome(load_dataset, path, n_bins, arcsinh)
+    assert got == _outcome(reference_ingest.load_dataset, path, n_bins, arcsinh)
+    return got
+
+
+def _quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+# value-preserving spellings of a float, and of a bin index
+FLOAT_TEXTS = [repr, lambda v: f" {v!r}\t", lambda v: f"{v:.17e}", lambda v: repr(v).upper()]
+BIN_TEXTS = [str, lambda b: f" {b}", lambda b: f"0{b}", lambda b: f"+{b}"]
+SPECIAL_SIGNALS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308]
+CORRUPTIONS = ["none", "bin_text", "bin_range", "signal", "expression", "fields", "duplicate",
+               "conflict", "missing", "mismatch", "blank_fields"]
+
+
+@st.composite
+def dataset_files(draw):
+    """Text of a dataset file, its n_bins, and whether its one corruption
+    makes it certainly invalid (a mismatched expression on a one-bin gene
+    is no mismatch, and deleting the only row of a gene leaves a valid
+    file)."""
+    n_marks = draw(st.integers(1, 3))
+    n_bins = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.text(alphabet='gA0 é,"\n-', max_size=4), min_size=1, max_size=4,
+                        unique=True))
+    signal = st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                       st.sampled_from(SPECIAL_SIGNALS))
+    expression = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(SPECIAL_SIGNALS + [-1e308]))
+
+    def spell(value, forms):
+        return draw(st.sampled_from(forms))(value)
+
+    def gene_field(gene_id):
+        needs = any(c in gene_id for c in ',"\n')
+        return _quoted(gene_id) if needs or draw(st.booleans()) else gene_id
+
+    records = []
+    for gene_id in ids:
+        expr = draw(expression)
+        for b in range(n_bins):
+            records.append([gene_field(gene_id), spell(b, BIN_TEXTS),
+                            *(spell(draw(signal), FLOAT_TEXTS) for _ in range(n_marks)),
+                            spell(expr, FLOAT_TEXTS)])
+    records = draw(st.permutations(records))
+
+    kinds = draw(st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=2))
+    for kind in kinds:
+        # a second corruption may land on the same row: which check wins
+        r = draw(st.integers(0, len(records) - 1))
+        row = records[r]
+        if kind == "bin_text":
+            row[1] = draw(st.sampled_from(["x", "1.0", "", "0x1", "1e0", "1 2"]))
+        elif kind == "bin_range":
+            row[1] = draw(st.sampled_from([str(n_bins), "-1", str(10**30), f"{n_bins + 7}"]))
+        elif kind == "signal":
+            row[2 + draw(st.integers(0, n_marks - 1))] = draw(
+                st.sampled_from(["nan", "inf", "-inf", "-1.5", "-5e-324", "abc", ""]))
+        elif kind == "expression":
+            row[-1] = draw(st.sampled_from(["nan", "inf", "-inf", "x", ""]))
+        elif kind == "fields":
+            records[r] = row[:-1] if draw(st.booleans()) else row + ["0.5"]
+        elif kind in ("duplicate", "conflict"):
+            copy = row[:-1] + (["12345.5" if row[-1].strip() != "12345.5" else "0.25"]
+                               if kind == "conflict" else row[-1:])
+            records.insert(draw(st.integers(0, len(records))), copy)
+        elif kind == "missing" and len(records) > 1:
+            del records[r]
+        elif kind == "mismatch":
+            row[-1] = "12345.5" if row[-1].strip() != "12345.5" else "0.25"
+        elif kind == "blank_fields":
+            records.insert(draw(st.integers(0, len(records))), ["  "])
+
+    for _ in range(draw(st.integers(0, 3))):
+        records.insert(draw(st.integers(0, len(records))), [])
+    header = ["gene_id", "bin", *(f"m{j}" for j in range(n_marks)), "expression"]
+    lines = [",".join(fields) + draw(st.sampled_from(["\n", "\r\n"]))
+             for fields in [header] + records]
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    kind = kinds[0] if len(kinds) == 1 else "several"
+    must_fail = kind not in ("none", "mismatch", "several") and not (kind == "missing"
+                                                                     and n_bins == 1)
+    return "".join(lines), n_bins, must_fail
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest-fuzz")
+
+
+@settings(max_examples=400)
+@given(dataset_files(), st.integers(1, 5), st.booleans())
+def test_ingest_matches_row_oracle(fuzz_dir, case, block_rows, arcsinh):
+    # tiny blocks: every multi-row file spans several of them
+    text, n_bins, must_fail = case
+    path = fuzz_dir / "fuzz.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(data_module, "_BLOCK_ROWS", block_rows):
+        got = assert_same_ingest(str(path), n_bins, arcsinh)
+    if must_fail:
+        assert got[0] == "error"
+
+
+def _synth_rows(tmp_path, n_genes, n_marks=2, n_bins=100):
+    ds, _ = synth_generate(SynthSpec(n_genes=n_genes, n_marks=n_marks, n_bins=n_bins,
+                                     informative_lo=1, informative_hi=3, seed=4))
+    path = tmp_path / "big.csv"
+    save_dataset(str(path), ds)
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def test_ingest_matches_row_oracle_across_full_size_blocks(tmp_path):
+    # 25,000 records: four blocks of the default size
+    path, lines = _synth_rows(tmp_path, 250)
+    assert len(lines) - 1 > 3 * data_module._BLOCK_ROWS
+    assert assert_same_ingest(str(path), 100, arcsinh=True)[0] == "ok"
+
+    # the first error sits in the fourth block: a duplicate of a first-block
+    # row, followed by a bad signal; every earlier block is clean
+    first_bad = 3 * data_module._BLOCK_ROWS + 100
+    lines.insert(first_bad, lines[5])
+    fields = lines[first_bad + 50].split(",")
+    lines.insert(first_bad + 50, ",".join(fields[:2] + ["-1.0"] + fields[3:]))
+    path.write_text("".join(lines))
+    kind, message, line = assert_same_ingest(str(path), 100)
+    assert kind == "error" and "duplicate" in message and line == first_bad + 1
+    assert "first at line 6" in message
+
+
+def test_ingest_reports_missing_bins_of_the_first_incomplete_gene(tmp_path):
+    path, lines = _synth_rows(tmp_path, 120)
+    # line 1 is the header; gene g's bin b is on line 2 + 100 g + b
+    del lines[1 + 100 * 90 + 39]               # gene 90, bin 39
+    del lines[1 + 100 * 30 + 6: 1 + 100 * 30 + 14]   # gene 30, bins 6..13
+    path.write_text("".join(lines))
+    kind, message, line = assert_same_ingest(str(path), 100)
+    assert kind == "error" and line == 2 + 100 * 30
+    assert message.endswith("missing bins [6, 7, 8, 9, 10]...")
+
+
+@pytest.mark.parametrize("load", [lambda p: load_dataset(p, n_bins=1), load_relevance])
+def test_readers_turn_undecodable_bytes_and_oversized_fields_into_ingestion_errors(tmp_path,
+                                                                                   load):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"gene_id,bin,m,expression\ng\xff,0,1.0,2.0\n")
+    with pytest.raises(IngestionError, match="not UTF-8"):
+        load(str(path))
+    path.write_text("h" * 200_000 + "\n")
+    with pytest.raises(IngestionError, match="malformed CSV record"):
+        load(str(path))
+
+
+# -------------------------------------------------------- writer round trip
+
+@pytest.mark.parametrize("bad", [",", '"', "\r", "\n"])
+def test_writer_rejects_names_it_cannot_write(bad):
+    ds, _ = synth_generate(SynthSpec(n_genes=3, n_marks=2, n_bins=4, informative_lo=1,
+                                     informative_hi=2, seed=1))
+    ds.samples[1].gene_id = f"g{bad}1"
+    with pytest.raises(ContractError, match="comma, quote or line break"):
+        dataset_to_csv(ds)
+    ds.samples[1].gene_id = "g1"
+    ds.mark_names[0] = f"m{bad}"
+    with pytest.raises(ContractError, match="comma, quote or line break"):
+        dataset_to_csv(ds)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.text(st.characters(codec="utf-8", exclude_characters=',"\r\n'), max_size=6),
+                min_size=1, max_size=4, unique=True),
+       st.text(st.characters(codec="utf-8", exclude_characters=',"\r\n'), max_size=6))
+def test_writer_names_round_trip(fuzz_dir, gene_ids, mark_name):
+    samples = [GeneSample(g, SignalMatrix(np.full((1, 2), i + 0.5)), expression_raw=float(i))
+               for i, g in enumerate(gene_ids)]
+    ds = Dataset(samples, [mark_name], 2)
+    path = str(fuzz_dir / "names.csv")
+    save_dataset(path, ds)
+    back = load_dataset(path, n_bins=2)
+    assert [s.gene_id for s in back.samples] == gene_ids and back.mark_names == [mark_name]
+    assert dataset_to_csv(back) == dataset_to_csv(ds)
+
+
+# ------------------------------------------------------ mark,bin,<value> maps
+
+@pytest.mark.parametrize("rows,line,fragment", [
+    ("-1,0,1.0\n", 2, "negative mark or bin"),
+    ("0,0,1.0\n1,-1,1.0\n", 3, "negative mark or bin"),
+    ("0,0,1.0\n0,1,0.5\n0,0,2.0\n", 4, "duplicate cell (0, 0); first at line 2"),
+    ("0,0,nan\n", 2, "non-finite relevance"),
+    ("0,0,1.0\n0,1,-inf\n", 3, "non-finite relevance"),
+    ("0,0,1.0,9\n", 2, "expected 3 fields"),
+    ("0,x,1.0\n", 2, "malformed relevance row"),
+    ("", None, "no relevance entries"),
+])
+def test_relevance_reader_is_strict(tmp_path, rows, line, fragment):
+    path = write(tmp_path, "mark,bin,relevance\n" + rows, "rel.csv")
+    with pytest.raises(IngestionError) as err:
+        load_relevance(path)
+    assert err.value.line == line and fragment in str(err.value)
+
+
+def test_map_reader_checks_header_and_leaves_unnamed_cells_zero(tmp_path):
+    path = write(tmp_path, "mark,bin,alpha_mean\n\n1,2,0.5\r\n", "map.csv")
+    np.testing.assert_array_equal(read_map_csv(path), [[0, 0, 0], [0, 0, 0.5]])
+    with pytest.raises(IngestionError, match="line 1: .*mark,bin,relevance"):
+        load_relevance(path)
+    with pytest.raises(IngestionError, match="line 1"):
+        read_map_csv(write(tmp_path, "mark,value\n0,1\n", "bad.csv"))

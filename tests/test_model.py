@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -480,3 +482,25 @@ def test_checkpoint_rejects_truncation(tmp_path):
         fh.write(blob[:-16])
     with pytest.raises(ContractError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [{"d": 400}, {"d_hm": 5000}, {"n_marks": 10**9}])
+def test_checkpoint_header_cannot_demand_memory(tmp_path, edit):
+    # blocks stay at d=8: before this bound, a d=400 header allocated a
+    # 49.5 MB template (d^2 growth) before it compared any shape
+    cfg = ModelConfig(n_marks=5, n_bins=100, d=8, d_hm=16, variant="lstm-alpha-beta")
+    path = os.path.join(tmp_path, "model.ckpt")
+    save_checkpoint(path, cfg, 3, init_params(cfg, seed=3))
+    magic, head, body = open(path, "rb").read().split(b"\n", 2)
+    header = json.loads(head)
+    header["config"].update(edit)
+    with open(path, "wb") as fh:
+        fh.write(magic + b"\n" + json.dumps(header).encode() + b"\n" + body)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractError, match="shape|names"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
