@@ -40,13 +40,6 @@ def _parse_bool(text: str) -> bool:
     raise ContractError(f"expected a boolean, got {text!r}")
 
 
-def _parse_fraction(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
-
-
 TRAIN_DEFAULTS: dict[str, str] = {
     "dataset": "",
     "out_dir": "",
@@ -148,15 +141,28 @@ def _load_labeled(path: str, n_bins: int, arcsinh: bool = False) -> data_mod.Dat
     return data_mod.binarize_labels(data_mod.load_dataset(path, n_bins, arcsinh=arcsinh))
 
 
-def _split_part(dataset, fractions_text: str, seed: int, part: str):
-    names = ("train", "validation", "test")
-    if part not in names:
-        raise ContractError(f"unknown split part {part!r}; valid: {', '.join(names)}, all")
-    fractions = [_parse_fraction(f) for f in fractions_text.split(",")]
+SPLIT_PARTS = ("train", "validation", "test")
+
+
+def _split(dataset, fractions_text: str, seed: int) -> tuple:
+    """Split into the three SPLIT_PARTS by comma-separated fractions, each
+    a decimal or a ratio such as ``1/3``."""
+    fractions = []
+    for text in fractions_text.split(","):
+        num, slash, den = text.partition("/")
+        try:
+            fractions.append(float(num) / float(den) if slash else float(text))
+        except ZeroDivisionError:
+            raise ContractError(f"split fraction {text.strip()!r} divides by zero") from None
     if len(fractions) != 3:
         raise ContractError("split must name three fractions")
-    parts = data_mod.split(dataset, fractions, seed)
-    return parts[names.index(part)]
+    return data_mod.split(dataset, fractions, seed)
+
+
+def _split_part(dataset, fractions_text: str, seed: int, part: str):
+    if part not in SPLIT_PARTS:
+        raise ContractError(f"unknown split part {part!r}; valid: {', '.join(SPLIT_PARTS)}, all")
+    return _split(dataset, fractions_text, seed)[SPLIT_PARTS.index(part)]
 
 
 # ----------------------------------------------------------------- commands
@@ -191,10 +197,7 @@ def cmd_train(args) -> int:
     mcfg = _model_config(resolved, dataset.n_marks)
     tcfg = _train_config(resolved)
 
-    fractions = [_parse_fraction(f) for f in resolved["split"].split(",")]
-    if len(fractions) != 3:
-        raise ContractError("split must name three fractions")
-    train_ds, val_ds, _ = data_mod.split(dataset, fractions, int(resolved["split_seed"]))
+    train_ds, val_ds, _ = _split(dataset, resolved["split"], int(resolved["split_seed"]))
 
     params, history = train(tcfg, mcfg, train_ds, val_ds)
 

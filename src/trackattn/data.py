@@ -356,14 +356,15 @@ def binarize_labels(dataset: Dataset) -> Dataset:
 
 
 def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
-    """Deterministically shuffle and partition; fractions must sum to one.
+    """Deterministically shuffle and partition; fractions must be finite,
+    positive and sum to one.
 
     Sizes are the floors of n*f with the remainder distributed one sample
     at a time starting from the first partition.
     """
     fractions = [float(f) for f in fractions]
-    if any(f <= 0 for f in fractions):
-        raise ContractError("all split fractions must be positive")
+    if not all(np.isfinite(f) and f > 0 for f in fractions):
+        raise ContractError(f"split fractions {fractions} must all be finite and positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ContractError(f"fractions sum to {sum(fractions)!r}, expected 1")
     n = len(dataset)

@@ -17,11 +17,18 @@ per recurrence, so each step is one batched product against the columns
 [h_prev; x_t; 1] of all recurrences, input projection and bias included.
 The i/f/o rows are pre-scaled by one half so that one ``tanh`` over all
 gate rows yields every gate through the half-angle identity
-``sigmoid(z) = (tanh(z/2) + 1) / 2``. The node keeps the activated gates
-and cell states for its backward pass, which runs backpropagation through
-time inside the node: per step, one batched transposed product gives the
+``sigmoid(z) = (tanh(z/2) + 1) / 2``.
+
+The caller chooses the buffer policy by whether a backward pass follows.
+With ``keep=True`` the node keeps every step's activated gates and cell
+states for its backward pass, which runs backpropagation through time
+inside the node: per step, one batched transposed product gives the
 adjoints of h_prev and x, and one more accumulates the [U | W | b]
-gradient, which is split back onto the per-gate parameter blocks.
+gradient, which is split back onto the per-gate parameter blocks. With
+``keep=False`` the same step loop writes each step's gates and cell
+state over one rolling slot, and the call returns a constant with no
+parents and no backward closure, so no gate or cell buffer outlives it.
+Both policies run the same arithmetic and give bit-identical outputs.
 
 All functions are pure and safe to call concurrently over shared
 read-only parameters (each call builds its own graph); a scan node's
@@ -111,13 +118,15 @@ class BiLstmParams:
         return self.forward.d
 
 
-def bilstm_encode_steps(x: Tensor, params: Sequence[BiLstmParams]) -> Tensor:
+def bilstm_encode_steps(x: Tensor, params: Sequence[BiLstmParams],
+                        keep: bool = True) -> Tensor:
     """Encode K independent sequences with their own bidirectional LSTMs.
 
     ``x`` is a (T, K, n_in, B) stack: step t of sequence k for B batch
     columns. Returns the (T, K, 2d, B) stack whose [t, k] entry is the
     forward state after steps 1..t on top of the backward state after
-    steps T..t, as one graph node.
+    steps T..t, as one graph node. With ``keep=False`` no step's gates or
+    cells are kept and the result is a constant outside the graph.
     """
     xd = x.data
     if xd.ndim != 4:
@@ -158,23 +167,31 @@ def bilstm_encode_steps(x: Tensor, params: Sequence[BiLstmParams]) -> Tensor:
     by_dir[:n_t, :, 1, d:-1] = xd[::-1]
     hx[:n_t, :, -1] = 1.0
 
-    gates = np.empty((n_t, n_s, 4 * d, n_b))
-    cells = np.empty((n_t, n_s, d, n_b))
+    # step s writes slot s % n_slots: every step kept, or one rolling slot
+    # (whose previous cell state, slot -1, is the slot itself)
+    n_slots = n_t if keep else 1
+    gates = np.empty((n_slots, n_s, 4 * d, n_b))
+    cells = np.empty((n_slots, n_s, d, n_b))
     for s in range(n_t):
-        z = np.matmul(a_half, hx[s], out=gates[s])
+        k = s % n_slots
+        z = np.matmul(a_half, hx[s], out=gates[k])
         np.tanh(z, out=z)
         sig = z[:, :3 * d]
         sig *= 0.5
         sig += 0.5
         i, f, o, g = z[:, :d], z[:, d:2 * d], z[:, 2 * d:3 * d], z[:, 3 * d:]
-        c = np.multiply(i, g, out=cells[s])
+        carried = f * cells[k - 1] if s else None
+        c = np.multiply(i, g, out=cells[k])
         if s:
-            c += f * cells[s - 1]
+            c += carried
         np.multiply(o, np.tanh(c), out=hx[s + 1, :, :d])
 
     out = np.empty((n_t, n_k, 2, d, n_b))
     out[:, :, 0] = by_dir[1:, :, 0, :d]
     out[:, :, 1] = by_dir[n_t:0:-1, :, 1, :d]
+    out = out.reshape(n_t, n_k, 2 * d, n_b)
+    if not keep:
+        return Tensor(out, validate=False)
     walked = False
 
     def bwd(adj):
@@ -233,7 +250,7 @@ def bilstm_encode_steps(x: Tensor, params: Sequence[BiLstmParams]) -> Tensor:
             grads += [rows[:, d:-1], rows[:, :d], rows[:, -1]]
         return grads
 
-    return ad.custom(out.reshape(n_t, n_k, 2 * d, n_b), "bilstm_scan", (x, *blocks), bwd)
+    return ad.custom(out, "bilstm_scan", (x, *blocks), bwd)
 
 
 def bilstm_encode(seq, p: BiLstmParams) -> Tensor:

@@ -111,9 +111,10 @@ def interpretation_correlation(weights, reference) -> float:
 def predict_probs(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
                   batch_size: int = 256) -> np.ndarray:
     """Positive-class probabilities for a (N, M, T) input stack."""
-    # no graph outlives its batch, so at most one is alive at a time
+    # tape-free, and no pass outlives its batch
     return np.concatenate([
-        logits_to_probs(forward_batch(x[lo:lo + batch_size], params, cfg).logits.data)[1]
+        logits_to_probs(forward_batch(x[lo:lo + batch_size], params, cfg,
+                                      grad=False).logits.data)[1]
         for lo in range(0, x.shape[0], batch_size)])
 
 
@@ -150,12 +151,13 @@ def _add(total, part):
 def _add_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
                predicted_class: int, sums: ClassSums, saliency: bool) -> None:
     """Add one batch's samples predicted as the class into ``sums``: one
-    forward pass, plus one backward pass when saliency is asked for.
+    forward pass, tape-free unless saliency is asked for, plus one
+    backward pass when it is.
 
     One backward pass suffices for saliency: summing each kept column's own
     predicted-class logit gives every column its own logit gradient.
     """
-    bf = forward_batch(x, params, cfg)
+    bf = forward_batch(x, params, cfg, grad=saliency)
     probs = logits_to_probs(bf.logits.data)
     keep = (probs[1] > probs[0]) if predicted_class == 1 else (probs[1] <= probs[0])
     if not keep.any():

@@ -23,9 +23,14 @@ the joint M-wide columns (K=1, n_in=M), followed by one attention-pool
 node; the mark level of ``lstm-alpha-beta`` is one more scan and pool over
 the mark summaries in ``mark_order``. A B=16 training step therefore
 records about 160 nodes, most of them parameter leaves. The mean negative
-log-likelihood over the batch is the training root. All functions are
-pure over read-only parameters; a trained store can serve concurrent
-forward calls.
+log-likelihood over the batch is the training root.
+
+A pass that no backward pass follows (scoring, validation, attention
+maps) runs with ``grad=False``: both scans then keep no per-step gates or
+cells and record no node, so a pass holds its activations, not the
+~400 MB of backward buffers a 256-sample bin scan keeps at the
+acceptance shapes. All functions are pure over read-only parameters; a
+trained store can serve concurrent forward calls.
 """
 
 from __future__ import annotations
@@ -326,12 +331,16 @@ def _final_states(encoded: Tensor, d: int) -> Tensor:
     return ad.custom(out, "final_states", (encoded,), bwd)
 
 
-def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig) -> BatchForward:
+def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
+                  grad: bool = True) -> BatchForward:
     """Run the variant's forward pass over a (B, M, T) input stack.
 
     The bin level is one scan call over every mark (per-mark variants) or
     over the joint M-wide columns, and one attention pool over its output;
-    the mark level of lstm-alpha-beta is one more scan and pool.
+    the mark level of lstm-alpha-beta is one more scan and pool. With
+    ``grad=False`` (no backward pass follows) both scans run tape-free:
+    the values are bit-identical, but no gradient reaches the inputs or
+    the LSTM parameters.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1:] != (cfg.n_marks, cfg.n_bins):
@@ -343,7 +352,7 @@ def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig) -> Ba
 
     steps = x.transpose(2, 1, 0)                                         # (T, M, B)
     inputs = Tensor(np.ascontiguousarray(steps[:, :, None] if per_mark else steps[:, None]))
-    encoded = bilstm_encode_steps(inputs, store.bin_lstms)               # (T, K, 2d, B)
+    encoded = bilstm_encode_steps(inputs, store.bin_lstms, keep=grad)    # (T, K, 2d, B)
 
     if cfg.variant == "lstm":
         logits = ad.affine(store.classifier_w, _final_states(encoded, cfg.d), store.classifier_b)
@@ -362,7 +371,8 @@ def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig) -> Ba
         logits = ad.affine(store.classifier_w, hidden, store.classifier_b)
         return BatchForward(logits, alphas, None, leaves, inputs)
 
-    encoded_marks = bilstm_encode_steps(_mark_sequence(pooled, cfg.order), [store.mark_lstm])
+    encoded_marks = bilstm_encode_steps(_mark_sequence(pooled, cfg.order), [store.mark_lstm],
+                                        keep=grad)
     betas, gene_vec = _attend_steps(encoded_marks, [store.mark_context])
     logits = ad.affine(store.classifier_w, ad.reshape(gene_vec, (2 * cfg.d_hm, n_b)),
                        store.classifier_b)
@@ -391,7 +401,7 @@ def forward(x: np.ndarray, params: ParameterStore, cfg: ModelConfig) -> Predicti
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cfg.n_marks, cfg.n_bins):
         raise DimensionError(f"input shape {x.shape} != ({cfg.n_marks}, {cfg.n_bins})")
-    bf = forward_batch(x[None, :, :], params, cfg)
+    bf = forward_batch(x[None, :, :], params, cfg, grad=False)
     probs = logits_to_probs(bf.logits.data)[:, 0]
     alpha, beta = extract_profiles(bf, cfg)
     profile = None

@@ -3,8 +3,10 @@
 An epoch shuffles the training set under a seeded generator, steps over
 mini-batches (batch gradient = mean of per-sample gradients), clips the
 global gradient norm, and applies the optimizer update. After each epoch
-the validation AUC is computed; the parameters returned are those of the
-best validation epoch, and training halts once the current epoch reaches
+one tape-free pass over the validation set gives its AUC and its class
+calls; the parameters returned are those of the epoch with the highest
+AUC, ties going to an epoch whose calls hold both classes (then to the
+earlier epoch), and training halts once the current epoch reaches
 best_epoch + patience (or max_epochs).
 
 Everything is deterministic under the config seed: initialization,
@@ -65,6 +67,7 @@ class EpochStats:
     epoch: int
     train_loss: float
     val_auc: float
+    val_calls_on: int  # validation genes called "on"; history.csv leaves it out
 
 
 @dataclass
@@ -141,7 +144,13 @@ def _check_dataset(name: str, ds: Dataset, mcfg: ModelConfig) -> None:
 def train(cfg: TrainConfig, mcfg: ModelConfig, train_ds: Dataset,
           val_ds: Dataset) -> tuple[ParameterStore, TrainHistory]:
     """Fit a fresh model, returning the parameters of the epoch with the
-    highest validation AUC together with the per-epoch history."""
+    highest validation AUC together with the per-epoch history.
+
+    AUC only ranks: an epoch can reach the best AUC while calling every
+    validation gene one class, which leaves ``attend`` an empty class. On
+    an AUC tie, an epoch that calls both classes wins over one that does
+    not; otherwise the earlier epoch stays.
+    """
     _check_dataset("training", train_ds, mcfg)
     _check_dataset("validation", val_ds, mcfg)
     val_labels = val_ds.labels()
@@ -160,7 +169,7 @@ def train(cfg: TrainConfig, mcfg: ModelConfig, train_ds: Dataset,
 
     history: list[EpochStats] = []
     best_epoch = 0
-    best_auc = -np.inf
+    best = (-np.inf, False)
     best_params = params.copy()
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -180,10 +189,13 @@ def train(cfg: TrainConfig, mcfg: ModelConfig, train_ds: Dataset,
             clip_gradients(grads, cfg.grad_clip_norm)
             optimizer_step(blocks, grads, state, cfg)
 
-        val_auc = auc(ScoredSet(predict_probs(x_val, params, mcfg), val_labels))
-        history.append(EpochStats(epoch, loss_total / n, val_auc))
-        if val_auc > best_auc:
-            best_auc = val_auc
+        val_probs = predict_probs(x_val, params, mcfg)
+        val_auc = auc(ScoredSet(val_probs, val_labels))
+        calls_on = int((val_probs > 0.5).sum())
+        history.append(EpochStats(epoch, loss_total / n, val_auc, calls_on))
+        key = (val_auc, 0 < calls_on < val_probs.size)
+        if key > best:
+            best = key
             best_epoch = epoch
             best_params = params.copy()
         if epoch >= best_epoch + cfg.patience:

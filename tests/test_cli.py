@@ -122,6 +122,26 @@ def test_train_malformed_numeric_value(ws, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_train_split_dividing_by_zero_is_a_config_error(ws, capsys):
+    assert run("train", "--config", str(ws / "train.cfg"), "--set", "split=1/0,1/2,1/2",
+               "--set", f"out_dir={ws}/nope") == 2
+    assert "divides by zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "attend"])
+def test_split_option_dividing_by_zero_is_a_config_error(ws, tmp_path, capsys, command):
+    assert run(command, "--checkpoint", str(ws / "run" / "checkpoint.ckpt"),
+               "--dataset", str(ws / "data" / "dataset.csv"), "--split", "1/0,1/2,1/2",
+               "--part", "test", "--out", str(tmp_path / "out")) == 2
+    assert "divides by zero" in capsys.readouterr().err
+
+
+def test_non_finite_split_fraction_is_a_config_error(ws, capsys):
+    assert run("train", "--config", str(ws / "train.cfg"), "--set", "split=nan,0.5,0.5",
+               "--set", f"out_dir={ws}/nope") == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_eval_empty_split_part(ws, tmp_path, capsys):
     assert run("synth", "--out", str(tmp_path / "tiny"), "--n-genes", "2",
                "--n-marks", "3", "--n-bins", "20", "--bins", "8:12", "--seed", "1") == 0
@@ -284,9 +304,9 @@ def test_attend_one_pass_matches_two_pass_maps(ws, tmp_path, monkeypatch):
     batches = []
     real = metrics.forward_batch
 
-    def counting(x, *args):
+    def counting(x, *args, **kwargs):
         batches.append(x.shape[0])
-        return real(x, *args)
+        return real(x, *args, **kwargs)
 
     monkeypatch.setattr(metrics, "forward_batch", counting)
     out = tmp_path / "maps"

@@ -141,6 +141,17 @@ def test_scan_mark_batched_equals_one_at_a_time():
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("t_len,n_in", [(1, 1), (2, 3), (9, 1)])
+def test_tape_free_scan_gives_the_same_bits_as_a_constant(t_len, n_in):
+    rng = np.random.default_rng(13)
+    params = [random_bilstm(rng, n_in, 4) for _ in range(3)]
+    x = Tensor(rng.normal(size=(t_len, 3, n_in, 5)))
+    taped, free = bilstm_encode_steps(x, params), bilstm_encode_steps(x, params, keep=False)
+    assert taped.op == "bilstm_scan" and taped.parents
+    assert np.array_equal(free.data, taped.data)
+    assert free.parents == () and free._bwd is None
+
+
 def test_encode_single_step_matches_cell_equations():
     rng = np.random.default_rng(1)
     p = random_bilstm(rng, 3, 4)

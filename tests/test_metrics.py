@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,21 @@ def test_predict_probs_batches_consistently():
     np.testing.assert_allclose(probs_small, probs_big, atol=1e-12)
     singles = np.array([forward(s.x.values, params, cfg).prob_high for s in ds.samples])
     np.testing.assert_allclose(probs_big, singles, atol=1e-12)
+
+
+def test_predict_probs_keeps_no_backward_buffers():
+    # one 256-sample batch at the acceptance shapes: a taped pass keeps its
+    # bin scan's (T, 2M, 4d, B) gates and (T, 2M, d, B) cells, ~390 MB
+    cfg = ModelConfig(n_marks=5, n_bins=100, d=32, d_hm=16, variant="lstm-alpha-beta")
+    params = init_params(cfg, seed=17)
+    x = np.abs(np.random.default_rng(18).normal(size=(256, cfg.n_marks, cfg.n_bins)))
+    tracemalloc.start()
+    try:
+        predict_probs(x, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
 # ---------------------------------------------------------------- exports

@@ -88,12 +88,25 @@ ORACLE_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("variant,share,order", ORACLE_CONFIGS)
-def test_every_variant_matches_straight_line_oracle(variant, share, order):
+def over_policies(cases, base_ids):
+    """Run every case taped (grad=True, under its base id) and tape-free
+    (grad=False, the id suffixed with ``-tape-free``)."""
+    return [pytest.param(*case, grad, id=base + ("" if grad else "-tape-free"))
+            for grad in (True, False) for case, base in zip(cases, base_ids)]
+
+
+# the base ids are the ones pytest gives ORACLE_CONFIGS on its own
+ORACLE_CASES = over_policies(ORACLE_CONFIGS, [
+    f"{variant}-{share}-{'None' if order is None else f'order{n}'}"
+    for n, (variant, share, order) in enumerate(ORACLE_CONFIGS)])
+
+
+@pytest.mark.parametrize("variant,share,order,grad", ORACLE_CASES)
+def test_every_variant_matches_straight_line_oracle(variant, share, order, grad):
     cfg = tiny_cfg(variant, share_bin_context=share, mark_order=order)
     params = init_params(cfg, seed=41)
     x = np.random.default_rng(42).normal(size=(6, cfg.n_marks, cfg.n_bins))
-    bf = forward_batch(x, params, cfg)
+    bf = forward_batch(x, params, cfg, grad=grad)
     probs = logits_to_probs(bf.logits.data)
     alpha, beta = extract_profiles(bf, cfg)
     for b in range(x.shape[0]):
@@ -151,21 +164,66 @@ def test_full_size_gradient_sampled(variant):
     assert cells.size == 8 and checked >= len(list(params.named_blocks())) - 2
 
 
-@pytest.mark.parametrize("variant", ["lstm", "lstm-attn", "lstm-alpha", "lstm-alpha-beta"])
-def test_batch_columns_match_single_sample_passes(variant):
+VARIANTS = ["lstm", "lstm-attn", "lstm-alpha", "lstm-alpha-beta"]
+
+
+@pytest.mark.parametrize("variant,grad", over_policies([(v,) for v in VARIANTS], VARIANTS))
+def test_batch_columns_match_single_sample_passes(variant, grad):
     cfg = tiny_cfg(variant, share_bin_context=False, mark_order=(1, 2, 0))
     params = init_params(cfg, seed=61)
     x = np.random.default_rng(62).normal(size=(16, cfg.n_marks, cfg.n_bins))
-    bf = forward_batch(x, params, cfg)
+    bf = forward_batch(x, params, cfg, grad=grad)
     alpha, beta = extract_profiles(bf, cfg)
     for b in range(16):
-        one = forward_batch(x[b:b + 1], params, cfg)
+        one = forward_batch(x[b:b + 1], params, cfg, grad=grad)
         alpha1, beta1 = extract_profiles(one, cfg)
         assert np.abs(bf.logits.data[:, b] - one.logits.data[:, 0]).max() < 1e-12
         if alpha is not None:
             assert np.abs(alpha[:, :, b] - alpha1[:, :, 0]).max() < 1e-12
         if beta is not None:
             assert np.abs(beta[:, b] - beta1[:, 0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("variant,share", [(v, True) for v in VARIANTS] + [
+    ("lstm-alpha", False), ("lstm-alpha-beta", False)])
+def test_tape_free_pass_is_bit_identical_at_full_size(variant, share):
+    # same logits, alpha and beta bits at the acceptance shapes, where the
+    # taped bin scan keeps 100 steps of gates and cells
+    cfg = ModelConfig(variant=variant, share_bin_context=share, mark_order=(3, 0, 4, 2, 1),
+                      **FULL_SIZE)
+    params = init_params(cfg, seed=55)
+    x = np.abs(np.random.default_rng(56).normal(size=(3, cfg.n_marks, cfg.n_bins)))
+    taped, free = forward_batch(x, params, cfg), forward_batch(x, params, cfg, grad=False)
+    assert np.array_equal(free.logits.data, taped.logits.data)
+    for a, b in zip(extract_profiles(free, cfg), extract_profiles(taped, cfg)):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def graph_ops(root):
+    """The op tag of every node reachable from root."""
+    seen, stack, ops = set(), [root], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            ops.append(t.op)
+            stack.extend(t.parents)
+    return ops
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tape_free_pass_records_no_scan_node(variant):
+    cfg = tiny_cfg(variant)
+    params = init_params(cfg, seed=57)
+    x = np.random.default_rng(58).normal(size=(4, cfg.n_marks, cfg.n_bins))
+    n_scans = 2 if variant == "lstm-alpha-beta" else 1
+    assert graph_ops(forward_batch(x, params, cfg).logits).count("bilstm_scan") == n_scans
+    bf = forward_batch(x, params, cfg, grad=False)
+    assert "bilstm_scan" not in graph_ops(bf.logits)
+    # nothing below the scans is reachable: no gradient for inputs or LSTMs
+    ad.backward(ad.sum_all(bf.logits))
+    assert bf.inputs.adjoint is None
+    assert all(leaf.adjoint is None for name, leaf in bf.leaves.items() if "lstm" in name)
 
 
 @pytest.mark.parametrize("variant", ["lstm-attn", "lstm-alpha-beta"])
@@ -215,13 +273,7 @@ def test_attention_pool_gradients_match_finite_differences(n_contexts):
 
 
 def graph_nodes(root):
-    seen, stack = set(), [root]
-    while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen.add(id(t))
-            stack.extend(t.parents)
-    return len(seen)
+    return len(graph_ops(root))
 
 
 @pytest.mark.parametrize("variant,bound", [("lstm", 60), ("lstm-attn", 60),

@@ -5,8 +5,9 @@ from trackattn import autodiff as ad
 from trackattn.data import Dataset, SynthSpec, split, synth_generate
 from trackattn.errors import ContractError, NumericalError
 from trackattn.model import ModelConfig, forward_batch, init_params, nll_loss_batch
-from trackattn.training import (TrainConfig, clip_gradients,
-                                init_optimizer_state, optimizer_step, train, write_history)
+from trackattn.metrics import predict_probs
+from trackattn.training import (TrainConfig, clip_gradients, init_optimizer_state,
+                                optimizer_step, train, write_history)
 
 
 def planted_sets(n=200, effect=5.0, seed=0):
@@ -140,6 +141,21 @@ def test_early_stopping_bound():
     _, history = train(cfg, small_mcfg(), train_ds, val_ds)
     assert history.epochs[-1].epoch <= history.best_epoch + cfg.patience
     assert history.epochs[-1].epoch < 30
+
+
+def test_validation_auc_ties_go_to_an_epoch_calling_both_classes():
+    # every epoch ranks the validation set perfectly (AUC 1.0), but the
+    # first four call every gene "on"; the fifth, calling both classes, is
+    # kept (the first epoch at the best AUC used to be kept)
+    train_ds, val_ds = planted_sets(n=80, effect=8.0, seed=2)
+    cfg = TrainConfig(learning_rate=0.01, max_epochs=5, patience=5, seed=2)
+    params, history = train(cfg, small_mcfg(), train_ds, val_ds)
+    assert [e.val_auc for e in history.epochs] == [1.0] * 5
+    assert [e.val_calls_on for e in history.epochs[:4]] == [len(val_ds)] * 4
+    assert 0 < history.epochs[4].val_calls_on < len(val_ds)
+    assert history.best_epoch == 5
+    calls = predict_probs(val_ds.signals(), params, small_mcfg()) > 0.5
+    assert calls.sum() == history.epochs[4].val_calls_on
 
 
 def test_non_finite_loss_aborts_with_location():
