@@ -14,7 +14,7 @@ graphs over shared read-only arrays may run concurrently.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -64,57 +64,21 @@ def _as2d(name: str, t: Tensor) -> np.ndarray:
     return t.data
 
 
-def affine(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
-    """w @ x (+ b), with x a vector or a matrix of column samples.
+def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
+    """w @ x + b for a matrix x of column samples.
 
-    For matrix x the bias column broadcasts across columns and its adjoint
-    is the row-sum of the output adjoint.
+    The bias column broadcasts across columns and its adjoint is the
+    row-sum of the output adjoint.
     """
-    wd = _as2d("weight", w)
-    xd = x.data
-    if xd.ndim not in (1, 2) or wd.shape[1] != xd.shape[0]:
+    wd, xd, bd = _as2d("weight", w), _as2d("input", x), b.data
+    if wd.shape[1] != xd.shape[0]:
         raise DimensionError(f"affine: weight {wd.shape} does not conform to input {xd.shape}")
-    out = wd @ xd
-    if b is not None:
-        bd = b.data
-        if bd.shape != (wd.shape[0],):
-            raise DimensionError(f"affine: bias {bd.shape} does not conform to weight {wd.shape}")
-        out = out + (bd if xd.ndim == 1 else bd[:, None])
-
-    if b is None:
-        def bwd(adj):
-            gw = np.outer(adj, xd) if xd.ndim == 1 else adj @ xd.T
-            return gw, wd.T @ adj
-        return _node(out, "affine", (w, x), bwd)
+    if bd.shape != (wd.shape[0],):
+        raise DimensionError(f"affine: bias {bd.shape} does not conform to weight {wd.shape}")
 
     def bwd(adj):
-        if xd.ndim == 1:
-            return np.outer(adj, xd), wd.T @ adj, adj
         return adj @ xd.T, wd.T @ adj, adj.sum(axis=1)
-    return _node(out, "affine", (w, x, b), bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    ad = _as2d("left operand", a)
-    bd = b.data
-    if bd.ndim not in (1, 2) or ad.shape[1] != bd.shape[0]:
-        raise DimensionError(f"matmul: {ad.shape} does not conform to {bd.shape}")
-    out = ad @ bd
-
-    def bwd(adj):
-        if bd.ndim == 1:
-            return np.outer(adj, bd), ad.T @ adj
-        return adj @ bd.T, ad.T @ adj
-    return _node(out, "matmul", (a, b), bwd)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-
-    def bwd(adj):
-        return adj, adj
-    return _node(a.data + b.data, "add", (a, b), bwd)
+    return _node(wd @ xd + bd[:, None], "affine", (w, x, b), bwd)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -127,15 +91,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return _node(ad * bd, "hadamard", (a, b), bwd)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    # tanh half-angle form is overflow-free for any finite input
-    s = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
-
-    def bwd(adj):
-        return (adj * s * (1.0 - s),)
-    return _node(s, "sigmoid", (x,), bwd)
-
-
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
 
@@ -144,46 +99,20 @@ def tanh(x: Tensor) -> Tensor:
     return _node(t, "tanh", (x,), bwd)
 
 
-_ELEMENTWISE: dict[str, Callable] = {}
-
-
-def elementwise(kind: str, *args: Tensor) -> Tensor:
-    """Dispatch by name over the elementwise kinds: sigmoid, tanh, hadamard, add."""
-    try:
-        fn = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ContractError(f"unknown elementwise kind {kind!r}") from None
-    return fn(*args)
-
-
-_ELEMENTWISE.update(sigmoid=sigmoid, tanh=tanh, hadamard=hadamard, add=add)
-
-
 def softmax(z: Tensor) -> Tensor:
-    """Probability-normalize z with max-subtraction for stability.
-
-    1-D input is normalized over its entries; 2-D input column-wise. The
-    subtracted maximum makes shifting all entries by the (exactly
-    representable) negated maximum a bit-exact no-op.
+    """Probability-normalize the columns of z with max-subtraction for
+    stability. The subtracted maximum makes shifting a column by its
+    (exactly representable) negated maximum a bit-exact no-op.
     """
-    zd = z.data
+    zd = _as2d("softmax input", z)
     if zd.size == 0:
         raise DimensionError("softmax: empty input")
-    if zd.ndim == 1:
-        e = np.exp(zd - zd.max())
-        s = e / e.sum()
+    e = np.exp(zd - zd.max(axis=0, keepdims=True))
+    s = e / e.sum(axis=0, keepdims=True)
 
-        def bwd(adj):
-            return (s * (adj - adj @ s),)
-        return _node(s, "softmax", (z,), bwd)
-    if zd.ndim == 2:
-        e = np.exp(zd - zd.max(axis=0, keepdims=True))
-        s = e / e.sum(axis=0, keepdims=True)
-
-        def bwd(adj):
-            return (s * (adj - (adj * s).sum(axis=0, keepdims=True)),)
-        return _node(s, "softmax", (z,), bwd)
-    raise DimensionError(f"softmax: expected 1-D or 2-D input, got shape {zd.shape}")
+    def bwd(adj):
+        return (s * (adj - (adj * s).sum(axis=0, keepdims=True)),)
+    return _node(s, "softmax", (z,), bwd)
 
 
 def log(x: Tensor) -> Tensor:
@@ -197,65 +126,12 @@ def log(x: Tensor) -> Tensor:
         return _node(np.log(xd), "log", (x,), bwd)
 
 
-def slice0(t: Tensor, lo: int, hi: int) -> Tensor:
-    n = t.data.shape[0]
-    if not (0 <= lo < hi <= n):
-        raise DimensionError(f"slice0: [{lo}:{hi}] out of range for axis length {n}")
-
-    def bwd(adj):
-        g = np.zeros_like(t.data)
-        g[lo:hi] = adj
-        return (g,)
-    return _node(t.data[lo:hi], "slice0", (t,), bwd)
-
-
-def concat0(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise DimensionError("concat0: no parts")
-    sizes = [p.data.shape[0] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=0)
-
-    def bwd(adj):
-        return tuple(np.split(adj, np.cumsum(sizes)[:-1], axis=0))
-    return _node(out, "concat0", tuple(parts), bwd)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise DimensionError("concat_cols: no parts")
-    sizes = [_as2d("concat_cols part", p).shape[1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=1)
-
-    def bwd(adj):
-        return tuple(np.split(adj, np.cumsum(sizes)[:-1], axis=1))
-    return _node(out, "concat_cols", tuple(parts), bwd)
-
-
-def transpose(t: Tensor) -> Tensor:
-    _as2d("transpose input", t)
-
-    def bwd(adj):
-        return (adj.T,)
-    return _node(t.data.T, "transpose", (t,), bwd)
-
-
 def reshape(t: Tensor, shape: tuple) -> Tensor:
     old = t.data.shape
 
     def bwd(adj):
         return (adj.reshape(old),)
     return _node(t.data.reshape(shape), "reshape", (t,), bwd)
-
-
-def mul_rowvec(m: Tensor, r: Tensor) -> Tensor:
-    """Scale each column of m (p, B) by the matching entry of r (1, B)."""
-    md, rd = _as2d("matrix", m), _as2d("row vector", r)
-    if rd.shape != (1, md.shape[1]):
-        raise DimensionError(f"mul_rowvec: row {rd.shape} does not conform to matrix {md.shape}")
-
-    def bwd(adj):
-        return adj * rd, (adj * md).sum(axis=0, keepdims=True)
-    return _node(md * rd, "mul_rowvec", (m, r), bwd)
 
 
 def pick_cols(m: Tensor, idx: np.ndarray) -> Tensor:

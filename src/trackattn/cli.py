@@ -77,6 +77,8 @@ def parse_config_file(path: str) -> dict[str, str]:
                 values[key.strip()] = value.strip()
     except FileNotFoundError:
         raise ContractError(f"config file not found: {path}") from None
+    except OSError as err:
+        raise ContractError(f"cannot read config file {path}: {err.strerror or err}") from None
     return values
 
 
@@ -169,11 +171,13 @@ def _split_part(dataset, fractions_text: str, seed: int, part: str):
 
 
 def cmd_synth(args) -> int:
-    lo, _, hi = args.bins.partition(":")
+    try:
+        lo, hi = (int(v) for v in args.bins.split(":"))
+    except ValueError:
+        raise ContractError(f"--bins must be LO:HI, two integers; got {args.bins!r}") from None
     spec = data_mod.SynthSpec(
         n_genes=args.n_genes, n_marks=args.n_marks, n_bins=args.n_bins,
-        informative_mark=args.informative_mark,
-        informative_lo=int(lo), informative_hi=int(hi),
+        informative_mark=args.informative_mark, informative_lo=lo, informative_hi=hi,
         effect=args.effect, noise_scale=args.noise, seed=args.seed)
     dataset, relevance = data_mod.synth_generate(spec)
     os.makedirs(args.out, exist_ok=True)

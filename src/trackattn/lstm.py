@@ -251,19 +251,3 @@ def bilstm_encode_steps(x: Tensor, params: Sequence[BiLstmParams],
         return grads
 
     return ad.custom(out, "bilstm_scan", (x, *blocks), bwd)
-
-
-def bilstm_encode(seq, p: BiLstmParams) -> Tensor:
-    """Encode a (n_in, T) sequence into the (2d, T) embedding matrix whose
-    column t stacks the forward state after steps 1..t on the backward
-    state after steps T..t."""
-    arr = seq.data if isinstance(seq, Tensor) else np.asarray(seq, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"sequence must be 2-D, got shape {arr.shape}")
-    n_in, t_len = arr.shape
-    if t_len == 0:
-        raise DimensionError("sequence has no steps")
-    if n_in != p.forward.n_in:
-        raise DimensionError(f"sequence height {n_in} != n_in {p.forward.n_in}")
-    steps = bilstm_encode_steps(Tensor(arr.T.reshape(t_len, 1, n_in, 1)), [p])
-    return ad.transpose(ad.reshape(steps, (t_len, 2 * p.d)))

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import Dataset, map_to_csv, read_map_csv  # read_map_csv: re-exported with the map writers
-from .errors import ContractError, DimensionError, MetricUndefinedError
+from .data import Dataset, map_to_csv
+from .errors import ContractError, MetricUndefinedError
 from .ioutil import atomic_write_text
 from .autodiff import Tensor
-from .model import (ModelConfig, ParameterStore, collect_input_gradient,
-                    collect_input_gradients, extract_profiles, forward_batch, logits_to_probs)
+from .model import (ModelConfig, ParameterStore, collect_input_gradients, extract_profiles,
+                    forward_batch, logits_to_probs)
 
 
 @dataclass
@@ -206,18 +206,6 @@ def mean_attention(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
     return MeanAttentionMap(sums.alpha / sums.count,
                             None if sums.beta is None else sums.beta / sums.count,
                             predicted_class, sums.count)
-
-
-def saliency(x: np.ndarray, params: ParameterStore, cfg: ModelConfig) -> np.ndarray:
-    """Absolute gradient of the predicted-class logit w.r.t. every input
-    cell of one (M, T) sample."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cfg.n_marks, cfg.n_bins):
-        raise DimensionError(f"input shape {x.shape} != ({cfg.n_marks}, {cfg.n_bins})")
-    bf = forward_batch(x[None], params, cfg)
-    k = int(np.argmax(bf.logits.data[:, 0]))
-    ad.backward(ad.sum_all(ad.slice0(bf.logits, k, k + 1)))
-    return np.abs(collect_input_gradient(bf, cfg))
 
 
 def mean_saliency(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,

@@ -15,6 +15,12 @@ binned signal tracks:
   second bidirectional LSTM over the (arbitrarily ordered) sequence of
   mark summaries with mark-level attention, then the classifier.
 
+Both attention levels use one soft-attention pool (:func:`_attend_steps`):
+a learned context vector scores each step by a plain dot product (no
+bias, no nonlinearity), the scores are normalized over the steps by a
+max-subtracted softmax, and the summary is the weighted sum of the steps.
+Over the bins of a mark the weights are alpha; over marks they are beta.
+
 The forward pass is batched: a (B, M, T) stack of inputs becomes one
 (T, K, n_in, B) input leaf, and each level is one graph node. The bin
 level is a single fused scan (:func:`~trackattn.lstm.bilstm_encode_steps`)
@@ -425,14 +431,6 @@ def nll_loss_batch(logits: Tensor, labels) -> Tensor:
     return ad.scale(ad.sum_all(ad.log(picked)), -1.0 / idx.size)
 
 
-def loss(pred: Prediction, label: int) -> float:
-    """Negative log-probability assigned to the true class."""
-    if label not in (-1, 1):
-        raise ContractError("label must be -1 or +1")
-    p = pred.prob_high if label == 1 else pred.prob_low
-    return float(-np.log(p))
-
-
 def collect_input_gradients(bf: BatchForward, cfg: ModelConfig) -> np.ndarray:
     """Assemble the (B, M, T) input gradients after a backward pass has
     populated adjoints."""
@@ -441,11 +439,6 @@ def collect_input_gradients(bf: BatchForward, cfg: ModelConfig) -> np.ndarray:
         return np.zeros((bf.logits.data.shape[1], cfg.n_marks, cfg.n_bins))
     # both input layouts flatten to (T, M, B)
     return np.ascontiguousarray(adj.reshape(cfg.n_bins, cfg.n_marks, -1).transpose(2, 1, 0))
-
-
-def collect_input_gradient(bf: BatchForward, cfg: ModelConfig, col: int = 0) -> np.ndarray:
-    """The (M, T) input gradient of one batch column."""
-    return collect_input_gradients(bf, cfg)[col]
 
 
 # ------------------------------------------------------------- checkpoints

@@ -46,12 +46,14 @@ class TrainConfig:
 
     def __post_init__(self):
         # zero is allowed as the documented no-op training case
-        if self.learning_rate < 0:
-            raise ContractError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ContractError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
             raise ContractError("batch_size and max_epochs must be >= 1, patience >= 0")
-        if self.grad_clip_norm <= 0:
-            raise ContractError("grad_clip_norm must be positive")
+        if not 0 < self.grad_clip_norm < np.inf:
+            raise ContractError(
+                f"grad_clip_norm must be finite and positive, got {self.grad_clip_norm!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ContractError(f"unknown optimizer {self.optimizer!r}; valid: {', '.join(OPTIMIZERS)}")
 
@@ -74,7 +76,6 @@ class EpochStats:
 class TrainHistory:
     epochs: list[EpochStats]
     best_epoch: int
-    best_params: "ParameterStore | None" = None  # reference to the returned store
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -170,7 +171,7 @@ def train(cfg: TrainConfig, mcfg: ModelConfig, train_ds: Dataset,
     history: list[EpochStats] = []
     best_epoch = 0
     best = (-np.inf, False)
-    best_params = params.copy()
+    best_store = params.copy()
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = shuffle_rng.permutation(n)
@@ -197,8 +198,8 @@ def train(cfg: TrainConfig, mcfg: ModelConfig, train_ds: Dataset,
         if key > best:
             best = key
             best_epoch = epoch
-            best_params = params.copy()
+            best_store = params.copy()
         if epoch >= best_epoch + cfg.patience:
             break
 
-    return best_params, TrainHistory(history, best_epoch, best_params)
+    return best_store, TrainHistory(history, best_epoch)

@@ -16,9 +16,9 @@ from _gradcheck import finite_diff, max_rel_error
 from _oracle import straight_line_forward
 from trackattn import autodiff as ad
 from trackattn.cli import main as cli_main
-from trackattn.data import SynthSpec, restrict_marks, split, synth_generate
+from trackattn.data import Dataset, SynthSpec, restrict_marks, split, synth_generate
 from trackattn.metrics import (ScoredSet, auc, interpretation_correlation, mean_attention,
-                               predict_probs, saliency)
+                               mean_saliency, predict_probs)
 from trackattn.model import (ModelConfig, extract_profiles, forward, forward_batch,
                              init_params, nll_loss_batch)
 from trackattn.training import TrainConfig, train
@@ -114,14 +114,13 @@ def test_criterion_03_attention_validity():
 
     # softmax shift invariance, bit-exact: subtracting the maximum is an
     # exact float operation, and on a dyadic grid so is an integer shift
-    for _ in range(1000):
-        z = rng.normal(size=12)
-        assert np.array_equal(ad.softmax(ad.Tensor(z)).data,
-                              ad.softmax(ad.Tensor(z - z.max())).data)
-    grid = rng.integers(-64, 64, size=(200, 10)) / 16.0
-    for z in grid:
-        assert np.array_equal(ad.softmax(ad.Tensor(z)).data,
-                              ad.softmax(ad.Tensor(z + 7.0)).data)
+    # softmax normalizes columns: 1000 random ones, then 200 on the grid
+    z = rng.normal(size=(12, 1000))
+    assert np.array_equal(ad.softmax(ad.Tensor(z)).data,
+                          ad.softmax(ad.Tensor(z - z.max(axis=0))).data)
+    grid = rng.integers(-64, 64, size=(10, 200)) / 16.0
+    assert np.array_equal(ad.softmax(ad.Tensor(grid)).data,
+                          ad.softmax(ad.Tensor(grid + 7.0)).data)
     report(3, "attention validity")
 
 
@@ -186,8 +185,10 @@ def test_criterion_07_null_control():
 def test_criterion_08_saliency_check(planted, trained):
     _, _, _, _, test_ds = planted
     params, _, _ = trained
-    x = test_ds.samples[0].x.values.copy()
-    sal = saliency(x, params, FULL)
+    gene = test_ds.samples[0]
+    x = gene.x.values.copy()
+    sal = mean_saliency(Dataset([gene], test_ds.mark_names, test_ds.n_bins), params, FULL,
+                        forward(x, params, FULL).label)
     k = int(np.argmax(forward_batch(x[None], params, FULL).logits.data[:, 0]))
 
     def logit():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from trackattn.cli import main
-from trackattn.data import load_dataset, load_relevance
-from trackattn.metrics import read_map_csv
+from trackattn.data import load_dataset, load_relevance, read_map_csv
 from trackattn.model import load_checkpoint, save_checkpoint
 
 
@@ -71,9 +70,12 @@ def test_majority_positive_synth_trains_through_cli(tmp_path):
     assert (tmp_path / "run" / "checkpoint.ckpt").exists()
 
 
-def test_synth_invalid_bin_range_leaves_no_files(tmp_path):
+def test_synth_invalid_bin_range_leaves_no_files(tmp_path, capsys):
     out = tmp_path / "bad"
     assert run("synth", "--out", str(out), "--n-bins", "10", "--bins", "5:10") == 2
+    for malformed in ("45", "4:5:6", "a:b"):
+        assert run("synth", "--out", str(out), "--n-bins", "10", "--bins", malformed) == 2
+        assert "--bins must be LO:HI" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -140,6 +142,21 @@ def test_non_finite_split_fraction_is_a_config_error(ws, capsys):
     assert run("train", "--config", str(ws / "train.cfg"), "--set", "split=nan,0.5,0.5",
                "--set", f"out_dir={ws}/nope") == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["learning_rate", "grad_clip_norm"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_step_setting_is_a_config_error(ws, tmp_path, capsys, key, value):
+    assert run("train", "--config", str(ws / "train.cfg"), "--set", f"{key}={value}",
+               "--set", f"out_dir={tmp_path}/out") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):
+    assert run("train", "--config", str(tmp_path)) == 2
+    assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
 
 
 def test_eval_empty_split_part(ws, tmp_path, capsys):

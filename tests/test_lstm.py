@@ -7,7 +7,7 @@ from _gradcheck import assert_grads_match, finite_diff
 from trackattn import autodiff as ad
 from trackattn.autodiff import Tensor
 from trackattn.errors import ContractError, DimensionError
-from trackattn.lstm import BiLstmParams, LstmParams, bilstm_encode, bilstm_encode_steps
+from trackattn.lstm import GATES, BiLstmParams, LstmParams, bilstm_encode_steps
 
 
 def make_arrays(rng, n_in, d, scale=1.0):
@@ -31,6 +31,15 @@ def random_bilstm(rng, n_in, d, scale=0.6):
 def scan(x, params):
     """Run the scan node over a (T, K, n_in, B) array."""
     return bilstm_encode_steps(Tensor(x), params)
+
+
+def encode(seq, p):
+    """The (2d, T) encoding of one (n_in, T) sequence: the scan at K=1, B=1,
+    column t the forward state after steps 1..t on the backward state after
+    steps T..t."""
+    n_in, t_len = seq.shape
+    out = scan(seq.T.reshape(t_len, 1, n_in, 1), [p]).data
+    return out.reshape(t_len, 2 * p.d).T
 
 
 def test_step_all_zero_parameters_zero_state():
@@ -152,11 +161,28 @@ def test_tape_free_scan_gives_the_same_bits_as_a_constant(t_len, n_in):
     assert free.parents == () and free._bwd is None
 
 
+def test_sigmoid_saturates_without_overflow():
+    # gate pre-activations of +-1e4: the half-angle gates saturate to
+    # exactly 0 and 1, forward and backward, with no floating-point warning
+    p = zero_params(1, 2)
+    for g in GATES:
+        getattr(p, f"b_{g}")[:] = [1e4, -1e4] if g == "i" else 1e4
+    leaves = [Tensor(v) for _, v in p.named()]
+    x = Tensor(np.ones((2, 1, 1, 1)))
+    with np.errstate(all="raise"):
+        out = bilstm_encode_steps(x, [BiLstmParams(LstmParams(*leaves), LstmParams(*leaves))])
+        ad.backward(ad.sum_all(out))
+    # unit 0: i = f = o = g = 1, so c_t = t and h_t = tanh(t); unit 1: i = 0
+    np.testing.assert_array_equal(out.data[:, 0, :2, 0], [[np.tanh(1.0), 0.0],
+                                                          [np.tanh(2.0), 0.0]])
+    assert all(np.isfinite(t.adjoint).all() for t in [x] + leaves)
+
+
 def test_encode_single_step_matches_cell_equations():
     rng = np.random.default_rng(1)
     p = random_bilstm(rng, 3, 4)
     seq = rng.normal(size=(3, 1))
-    H = bilstm_encode(seq, p)
+    H = encode(seq, p)
 
     def cell(lp, x):
         sig = lambda z: 1.0 / (1.0 + np.exp(-z))  # noqa: E731
@@ -166,16 +192,16 @@ def test_encode_single_step_matches_cell_equations():
         return o * np.tanh(i * g)
 
     expected = np.concatenate([cell(p.forward, seq[:, 0]), cell(p.backward, seq[:, 0])])
-    np.testing.assert_allclose(H.data[:, 0], expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(H[:, 0], expected, rtol=0, atol=1e-15)
 
 
 def test_encode_reversal_symmetry():
     rng = np.random.default_rng(2)
     p = random_bilstm(rng, 2, 3)
     seq = rng.normal(size=(2, 6))
-    H = bilstm_encode(seq, p).data
+    H = encode(seq, p)
     swapped = BiLstmParams(p.backward, p.forward)
-    H_rev = bilstm_encode(seq[:, ::-1], swapped).data
+    H_rev = encode(seq[:, ::-1], swapped)
     d = p.d
     flipped = np.concatenate([H_rev[d:, ::-1], H_rev[:d, ::-1]], axis=0)
     np.testing.assert_array_equal(H, flipped)
@@ -184,42 +210,42 @@ def test_encode_reversal_symmetry():
 @pytest.mark.parametrize("t_len", [1, 2, 7])
 def test_encode_zero_parameters_zero_output(t_len):
     p = BiLstmParams(zero_params(2, 3), zero_params(2, 3))
-    H = bilstm_encode(np.random.default_rng(3).normal(size=(2, t_len)), p)
-    np.testing.assert_array_equal(H.data, np.zeros((6, t_len)))
+    H = encode(np.random.default_rng(3).normal(size=(2, t_len)), p)
+    np.testing.assert_array_equal(H, np.zeros((6, t_len)))
 
 
 def test_encode_causality_split():
     rng = np.random.default_rng(4)
     p = random_bilstm(rng, 2, 3)
     seq = rng.normal(size=(2, 8))
-    base = bilstm_encode(seq, p).data
+    base = encode(seq, p)
     d, t0 = p.d, 4
 
     later = seq.copy()
     later[:, t0 + 1:] += rng.normal(size=(2, 8 - t0 - 1))
-    np.testing.assert_array_equal(bilstm_encode(later, p).data[:d, : t0 + 1], base[:d, : t0 + 1])
+    np.testing.assert_array_equal(encode(later, p)[:d, : t0 + 1], base[:d, : t0 + 1])
 
     earlier = seq.copy()
     earlier[:, :t0] += rng.normal(size=(2, t0))
-    np.testing.assert_array_equal(bilstm_encode(earlier, p).data[d:, t0:], base[d:, t0:])
+    np.testing.assert_array_equal(encode(earlier, p)[d:, t0:], base[d:, t0:])
 
 
 def test_encode_full_sequence_gradients():
     rng = np.random.default_rng(5)
     fwd_arrays = make_arrays(rng, 2, 3, scale=0.5)
     bwd_arrays = make_arrays(rng, 2, 3, scale=0.5)
-    seq = rng.normal(size=(2, 5))
-    weights = rng.normal(size=(6, 5))
+    x = rng.normal(size=(5, 1, 2, 1))
+    weights = rng.normal(size=(5, 1, 6, 1))
 
     def run(*arrs):
         p = BiLstmParams(LstmParams(*[Tensor(a) for a in arrs[:12]]),
                          LstmParams(*[Tensor(a) for a in arrs[12:]]))
-        return ad.sum_all(ad.hadamard(bilstm_encode(seq, p), Tensor(weights)))
+        return ad.sum_all(ad.hadamard(scan(x, [p]), Tensor(weights)))
 
     arrays = fwd_arrays + bwd_arrays
     leaves = [Tensor(a) for a in arrays]
     p = BiLstmParams(LstmParams(*leaves[:12]), LstmParams(*leaves[12:]))
-    ad.backward(ad.sum_all(ad.hadamard(bilstm_encode(seq, p), Tensor(weights))))
+    ad.backward(ad.sum_all(ad.hadamard(scan(x, [p]), Tensor(weights))))
     numeric = finite_diff(lambda *arrs: float(run(*arrs).data), arrays)
     for leaf, num in zip(leaves, numeric):
         assert_grads_match(leaf.adjoint, num)
@@ -229,17 +255,17 @@ def test_encode_deterministic():
     rng = np.random.default_rng(6)
     p = random_bilstm(rng, 3, 4)
     seq = rng.normal(size=(3, 10))
-    assert np.array_equal(bilstm_encode(seq, p).data, bilstm_encode(seq, p).data)
+    assert np.array_equal(encode(seq, p), encode(seq, p))
 
 
 def test_encode_rejects_empty_and_mismatched():
     p = random_bilstm(np.random.default_rng(7), 2, 3)
     with pytest.raises(DimensionError):
-        bilstm_encode(np.zeros((2, 0)), p)
+        encode(np.zeros((2, 0)), p)
     with pytest.raises(DimensionError):
-        bilstm_encode(np.zeros((5, 4)), p)
+        encode(np.zeros((5, 4)), p)
     with pytest.raises(DimensionError):
-        bilstm_encode(np.zeros(4), p)
+        scan(np.zeros((4, 2)), [p])
 
 
 def test_param_validation():

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from _gradcheck import finite_diff_entries
 from trackattn.data import Dataset, GeneSample, SignalMatrix
 from trackattn.errors import ContractError, MetricUndefinedError
+from trackattn.data import read_map_csv
 from trackattn.metrics import (ScoredSet, auc, beta_to_csv, f1,
                                interpretation_correlation, map_to_csv, mean_attention,
-                               metrics_report_text, pearson, predict_probs, read_map_csv,
-                               saliency, score_dataset, write_map_csv, write_metrics_report)
-from trackattn.model import ModelConfig, forward, init_params
+                               mean_saliency, metrics_report_text, pearson, predict_probs,
+                               score_dataset, write_map_csv, write_metrics_report)
+from trackattn.model import ModelConfig, forward, forward_batch, init_params
 
 # ---------------------------------------------------------------------- auc
 
@@ -220,14 +221,22 @@ def test_mean_attention_rejects_variant_without_attention():
         mean_attention(tiny_dataset(2, cfg), params, cfg, 1)
 
 
+def one_gene_saliency(x, params, cfg):
+    """Saliency of one (M, T) sample: mean_saliency over a one-gene dataset
+    averaged over the class the model predicts for it."""
+    ds = Dataset([GeneSample("g0", SignalMatrix(x), label=1, expression_raw=0.0)],
+                 [f"m{j}" for j in range(cfg.n_marks)], cfg.n_bins)
+    return mean_saliency(ds, params, cfg, forward(x, params, cfg).label)
+
+
 def test_saliency_nonnegative_and_zero_for_zero_model():
     cfg, params = tiny_model(seed=11)
     x = np.abs(np.random.default_rng(12).normal(size=(3, 8)))
-    sal = saliency(x, params, cfg)
+    sal = one_gene_saliency(x, params, cfg)
     assert sal.shape == (3, 8)
     assert (sal >= 0).all()
     zeroed = params.map_blocks(lambda _, v: np.zeros_like(v))
-    np.testing.assert_array_equal(saliency(x, zeroed, cfg), np.zeros((3, 8)))
+    np.testing.assert_array_equal(one_gene_saliency(x, zeroed, cfg), np.zeros((3, 8)))
 
 
 @pytest.mark.parametrize("variant", ["lstm", "lstm-attn", "lstm-alpha", "lstm-alpha-beta"])
@@ -235,9 +244,7 @@ def test_saliency_matches_logit_finite_differences(variant):
     cfg, params = tiny_model(variant, seed=13)
     rng = np.random.default_rng(14)
     x = np.abs(rng.normal(size=(cfg.n_marks, cfg.n_bins)))
-    sal = saliency(x, params, cfg)
-
-    from trackattn.model import forward_batch
+    sal = one_gene_saliency(x, params, cfg)
     k = int(np.argmax(forward_batch(x[None], params, cfg).logits.data[:, 0]))
 
     def logit():

@@ -9,14 +9,13 @@ import pytest
 from _gradcheck import assert_grads_match, finite_diff, finite_diff_entries, max_rel_error
 from _oracle import straight_line_forward
 from trackattn import autodiff as ad
-from trackattn.attention import AttentionParams, attend, attention_scores
 from trackattn.autodiff import Tensor
 from trackattn.errors import ContractError, DimensionError
-from trackattn.lstm import bilstm_encode
-from trackattn.model import (ModelConfig, ParameterStore, Prediction, collect_input_gradients,
+from trackattn.lstm import bilstm_encode_steps
+from trackattn.model import (ModelConfig, ParameterStore, collect_input_gradients,
                              extract_profiles, forward, forward_batch, init_params,
                              _attend_steps, labels_to_class_indices,
-                             load_checkpoint, logits_to_probs, loss, nll_loss_batch,
+                             load_checkpoint, logits_to_probs, nll_loss_batch,
                              save_checkpoint)
 
 TINY = dict(n_marks=3, n_bins=8, d=4, d_hm=3)
@@ -236,7 +235,7 @@ def test_input_gradients_land_on_their_sample_mark_and_bin(variant):
     rng = np.random.default_rng(72)
     x = rng.normal(size=(3, cfg.n_marks, cfg.n_bins))
     bf = forward_batch(x, params, cfg)
-    ad.backward(ad.sum_all(ad.slice0(bf.logits, 1, 2)))
+    ad.backward(ad.sum_all(ad.pick_cols(bf.logits, np.ones(3, dtype=int))))
     grads = collect_input_gradients(bf, cfg)
     assert grads.shape == x.shape
 
@@ -289,10 +288,12 @@ def test_training_step_graph_stays_small(variant, bound):
 
 
 def test_loss_examples():
-    assert loss(Prediction(prob_high=1.0, prob_low=0.0), 1) == 0.0
-    assert loss(Prediction(prob_high=0.5, prob_low=0.5), -1) == pytest.approx(math.log(2), abs=1e-15)
+    # a certain, correct call costs nothing; a uniform one costs log 2
+    assert float(nll_loss_batch(Tensor([[-1000.0], [0.0]]), [1]).data) == 0.0
+    assert float(nll_loss_batch(Tensor([[0.0], [0.0]]), [-1]).data) == pytest.approx(
+        math.log(2), abs=1e-15)
     with pytest.raises(ContractError):
-        loss(Prediction(prob_high=0.5, prob_low=0.5), 0)
+        nll_loss_batch(Tensor([[0.0], [0.0]]), [0])
 
 
 def test_nll_gradient_is_softmax_minus_onehot():
@@ -368,25 +369,29 @@ def test_alpha_rows_permute_with_their_marks():
 
 
 def componentwise_forward(x, params, cfg, shift_mark0=None):
-    """Forward pass assembled from the public single-sample pieces, with an
-    optional constant added to mark 0's bin scores before normalizing."""
+    """lstm-alpha-beta on one (M, T) sample, assembled from the production
+    scan and pool one mark at a time. With ``shift_mark0``, that constant
+    is added to mark 0's bin scores before normalizing, through one more
+    coordinate: 1 in the context, the constant in every encoded step."""
     summaries = []
     alphas = []
     for j in range(cfg.n_marks):
-        h = bilstm_encode(x[j:j + 1, :], params.bin_lstms[j])
-        p = AttentionParams(params.bin_contexts[0 if cfg.share_bin_context else j])
-        scores = attention_scores(h, p)
+        h = bilstm_encode_steps(Tensor(x[j].reshape(cfg.n_bins, 1, 1, 1)),
+                                [params.bin_lstms[j]]).data
+        context = params.bin_contexts[0 if cfg.share_bin_context else j]
         if j == 0 and shift_mark0 is not None:
-            scores = ad.add(scores, Tensor(np.full(cfg.n_bins, shift_mark0)))
-        weights = ad.softmax(scores)
-        alphas.append(weights.data)
-        summaries.append(ad.matmul(h, weights))
-    seq = np.stack([summaries[j].data for j in cfg.order], axis=1)
-    s = bilstm_encode(seq, params.mark_lstm)
-    beta_seq, gene_vec = attend(s, AttentionParams(params.mark_context))
-    logits = ad.affine(Tensor(params.classifier_w), gene_vec, Tensor(params.classifier_b))
-    probs = logits_to_probs(logits.data[:, None])[:, 0]
-    return probs, np.stack(alphas), beta_seq.data
+            h = np.concatenate([h, np.full((cfg.n_bins, 1, 1, 1), shift_mark0)], axis=2)
+            context = np.append(context, 1.0)
+        weights, pooled = _attend_steps(Tensor(h), [Tensor(context)])
+        alphas.append(weights[:, 0, 0])
+        summaries.append(pooled.data[:, :2 * cfg.d])
+    seq = np.stack([summaries[j] for j in cfg.order])                   # (M, 1, 2d, 1)
+    s = bilstm_encode_steps(Tensor(seq), [params.mark_lstm])
+    beta_seq, gene_vec = _attend_steps(s, [Tensor(params.mark_context)])
+    logits = ad.affine(Tensor(params.classifier_w), Tensor(gene_vec.data[0]),
+                       Tensor(params.classifier_b))
+    probs = logits_to_probs(logits.data)[:, 0]
+    return probs, np.stack(alphas), beta_seq[:, 0, 0]
 
 
 def test_componentwise_assembly_matches_forward():
@@ -406,8 +411,9 @@ def test_bin_score_shift_leaves_prediction_bit_identical():
     params = init_params(cfg, seed=17)
     x = np.random.default_rng(18).normal(size=(cfg.n_marks, cfg.n_bins))
 
-    h0 = bilstm_encode(x[0:1, :], params.bin_lstms[0])
-    c = -float(attention_scores(h0, AttentionParams(params.bin_contexts[0])).data.max())
+    h0 = bilstm_encode_steps(Tensor(x[0].reshape(cfg.n_bins, 1, 1, 1)),
+                             [params.bin_lstms[0]]).data
+    c = -float((h0 * params.bin_contexts[0][:, None]).sum(axis=2).max())  # the pool's scores
 
     base = componentwise_forward(x, params, cfg)
     shifted = componentwise_forward(x, params, cfg, shift_mark0=c)

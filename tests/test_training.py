@@ -74,6 +74,11 @@ def test_train_config_validation():
         TrainConfig(patience=-1)
     with pytest.raises(ContractError):
         TrainConfig(optimizer="momentum")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ContractError, match="learning_rate"):
+            TrainConfig(learning_rate=bad)
+        with pytest.raises(ContractError, match="grad_clip_norm"):
+            TrainConfig(grad_clip_norm=bad)
 
 
 # ---------------------------------------------------------------- training
@@ -99,7 +104,6 @@ def test_training_is_deterministic():
     p1, h1 = run()
     p2, h2 = run()
     assert h1.to_csv() == h2.to_csv()
-    assert h1.best_params is p1
     for (name, a), (_, b) in zip(p1.named_blocks(), p2.named_blocks()):
         assert np.array_equal(a, b), name
 
