@@ -13,6 +13,7 @@ import argparse
 
 from trackattn import (ModelConfig, SynthSpec, TrainConfig, auc, restrict_marks,
                        score_dataset, split, synth_generate, train)
+from trackattn.cli import bin_window
 
 
 def fit_and_score(train_ds, val_ds, test_ds, d, d_hm, tcfg):
@@ -27,7 +28,8 @@ def main():
     ap.add_argument("--n-genes", type=int, default=2000)
     ap.add_argument("--n-marks", type=int, default=5)
     ap.add_argument("--n-bins", type=int, default=100)
-    ap.add_argument("--bins", default="45:55", help="inclusive informative window LO:HI")
+    ap.add_argument("--bins", type=bin_window, default="45:55",
+                    help="inclusive informative window LO:HI")
     ap.add_argument("--effect", type=float, default=3.0)
     ap.add_argument("--noise", type=float, default=1.0)
     ap.add_argument("--d", type=int, default=32)
@@ -36,9 +38,9 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    lo, _, hi = args.bins.partition(":")
+    lo, hi = args.bins
     spec = SynthSpec(n_genes=args.n_genes, n_marks=args.n_marks, n_bins=args.n_bins,
-                     informative_lo=int(lo), informative_hi=int(hi),
+                     informative_lo=lo, informative_hi=hi,
                      effect=args.effect, noise_scale=args.noise, seed=args.seed)
     dataset, _ = synth_generate(spec)
     parts = split(dataset, (1 / 3, 1 / 3, 1 / 3), seed=args.seed)

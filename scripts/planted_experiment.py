@@ -18,6 +18,7 @@ import numpy as np
 from trackattn import (ModelConfig, SynthSpec, TrainConfig, auc,
                        interpretation_correlation, mean_attention, mean_saliency,
                        score_dataset, split, synth_generate, train)
+from trackattn.cli import bin_window
 
 
 def main():
@@ -26,7 +27,8 @@ def main():
     ap.add_argument("--n-marks", type=int, default=5)
     ap.add_argument("--n-bins", type=int, default=100)
     ap.add_argument("--informative-mark", type=int, default=0)
-    ap.add_argument("--bins", default="45:55", help="inclusive informative window LO:HI")
+    ap.add_argument("--bins", type=bin_window, default="45:55",
+                    help="inclusive informative window LO:HI")
     ap.add_argument("--effect", type=float, default=3.0)
     ap.add_argument("--noise", type=float, default=1.0)
     ap.add_argument("--variant", default="lstm-alpha-beta")
@@ -37,10 +39,10 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    lo, _, hi = args.bins.partition(":")
+    lo, hi = args.bins
     spec = SynthSpec(n_genes=args.n_genes, n_marks=args.n_marks, n_bins=args.n_bins,
                      informative_mark=args.informative_mark,
-                     informative_lo=int(lo), informative_hi=int(hi),
+                     informative_lo=lo, informative_hi=hi,
                      effect=args.effect, noise_scale=args.noise, seed=args.seed)
     dataset, relevance = synth_generate(spec)
     train_ds, val_ds, test_ds = split(dataset, (1 / 3, 1 / 3, 1 / 3), seed=args.seed)

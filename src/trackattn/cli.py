@@ -170,11 +170,19 @@ def _split_part(dataset, fractions_text: str, seed: int, part: str):
 # ----------------------------------------------------------------- commands
 
 
-def cmd_synth(args) -> int:
+def bin_window(text: str) -> tuple[int, int]:
+    """Parse the ``--bins LO:HI`` informative window of ``synth`` and the
+    experiment scripts (which pass it to argparse as ``type=``, so a
+    malformed window is an option error there)."""
     try:
-        lo, hi = (int(v) for v in args.bins.split(":"))
+        lo, hi = (int(v) for v in text.split(":"))
     except ValueError:
-        raise ContractError(f"--bins must be LO:HI, two integers; got {args.bins!r}") from None
+        raise ContractError(f"--bins must be LO:HI, two integers; got {text!r}") from None
+    return lo, hi
+
+
+def cmd_synth(args) -> int:
+    lo, hi = bin_window(args.bins)
     spec = data_mod.SynthSpec(
         n_genes=args.n_genes, n_marks=args.n_marks, n_bins=args.n_bins,
         informative_mark=args.informative_mark, informative_lo=lo, informative_hi=hi,

@@ -5,26 +5,24 @@ sigmoid, a tanh candidate, ``c_t = f⊙c_{t-1} + i⊙g`` and
 ``h_t = o⊙tanh(c_t)``. No peepholes, no normalization, one recurrent
 layer. Initial hidden and cell states are zero.
 
-Parameter containers hold one weight matrix, recurrence matrix and bias
-per gate. Fields may be plain float64 arrays or autodiff leaves.
-
-:func:`bilstm_encode_steps` encodes K independent sequences, each with
-its own bidirectional parameters, in a single graph node. The K sequences
-times two directions run as S = 2K stacked recurrences (the backward
-directions read the input time-reversed). The gate blocks are stacked
-inside the call from the per-gate parameters into one [U | W | b] matrix
-per recurrence, so each step is one batched product against the columns
-[h_prev; x_t; 1] of all recurrences, input projection and bias included.
-The i/f/o rows are pre-scaled by one half so that one ``tanh`` over all
-gate rows yields every gate through the half-angle identity
-``sigmoid(z) = (tanh(z/2) + 1) / 2``.
+Each recurrence's gates live in one [U | W | b] block: rows stacked i, f,
+o, g, columns the recurrence matrix U (d), the input weights W (n_in) and
+the bias b (1), so one product against the column [h_prev; x_t; 1] gives
+every pre-activation. :func:`bilstm_encode_steps` encodes K independent
+sequences, each with its own bidirectional parameters, in a single graph
+node that reads one (2K, 4d, d + n_in + 1) stack of such blocks: the K
+sequences times two directions run as S = 2K stacked recurrences,
+recurrence s = 2k + direction (the backward directions read the input
+time-reversed). The i/f/o rows are pre-scaled by one half so that one
+``tanh`` over all gate rows yields every gate through the half-angle
+identity ``sigmoid(z) = (tanh(z/2) + 1) / 2``.
 
 The caller chooses the buffer policy by whether a backward pass follows.
 With ``keep=True`` the node keeps every step's activated gates and cell
 states for its backward pass, which runs backpropagation through time
 inside the node: per step, one batched transposed product gives the
-adjoints of h_prev and x, and one more accumulates the [U | W | b]
-gradient, which is split back onto the per-gate parameter blocks. With
+adjoints of h_prev and x, and one more accumulates the gradient of the
+whole [U | W | b] stack, returned in the stack's own layout. With
 ``keep=False`` the same step loop writes each step's gates and cell
 state over one rolling slot, and the call returns a constant with no
 parents and no backward closure, so no gate or cell buffer outlives it.
@@ -37,9 +35,6 @@ backward pass runs once, because it overwrites the kept gates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Sequence
-
 import numpy as np
 
 from . import autodiff as ad
@@ -49,113 +44,31 @@ from .errors import ContractError, DimensionError
 GATES = ("i", "f", "o", "g")
 
 
-def _shape(v) -> tuple:
-    return v.data.shape if isinstance(v, Tensor) else np.asarray(v).shape
-
-
-def _tensorize(v) -> Tensor:
-    return v if isinstance(v, Tensor) else Tensor(v)
-
-
-@dataclass
-class LstmParams:
-    """Per-gate parameters of one LSTM direction.
-
-    ``w_*`` are (d, n_in), ``u_*`` are (d, d), ``b_*`` are (d,), for the
-    gate order i, f, o, g.
-    """
-
-    w_i: object
-    u_i: object
-    b_i: object
-    w_f: object
-    u_f: object
-    b_f: object
-    w_o: object
-    u_o: object
-    b_o: object
-    w_g: object
-    u_g: object
-    b_g: object
-
-    def __post_init__(self):
-        d, n_in = _shape(self.w_i)
-        for g in GATES:
-            if _shape(getattr(self, f"w_{g}")) != (d, n_in):
-                raise DimensionError(f"gate {g}: weight shape differs from ({d}, {n_in})")
-            if _shape(getattr(self, f"u_{g}")) != (d, d):
-                raise DimensionError(f"gate {g}: recurrence shape differs from ({d}, {d})")
-            if _shape(getattr(self, f"b_{g}")) != (d,):
-                raise DimensionError(f"gate {g}: bias shape differs from ({d},)")
-
-    @property
-    def d(self) -> int:
-        return _shape(self.w_i)[0]
-
-    @property
-    def n_in(self) -> int:
-        return _shape(self.w_i)[1]
-
-    def named(self):
-        """Yield (field_name, value) in the canonical i, f, o, g order."""
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
-
-
-@dataclass
-class BiLstmParams:
-    """Independent forward and backward directions of equal sizes."""
-
-    forward: LstmParams
-    backward: LstmParams
-
-    def __post_init__(self):
-        if self.forward.d != self.backward.d or self.forward.n_in != self.backward.n_in:
-            raise DimensionError("forward/backward directions must share d and n_in")
-
-    @property
-    def d(self) -> int:
-        return self.forward.d
-
-
-def bilstm_encode_steps(x: Tensor, params: Sequence[BiLstmParams],
-                        keep: bool = True) -> Tensor:
+def bilstm_encode_steps(x: Tensor, a: Tensor, keep: bool = True) -> Tensor:
     """Encode K independent sequences with their own bidirectional LSTMs.
 
     ``x`` is a (T, K, n_in, B) stack: step t of sequence k for B batch
-    columns. Returns the (T, K, 2d, B) stack whose [t, k] entry is the
+    columns; ``a`` is the (2K, 4d, d + n_in + 1) stack of [U | W | b]
+    blocks, forward and backward direction of sequence k at rows 2k and
+    2k + 1. Returns the (T, K, 2d, B) stack whose [t, k] entry is the
     forward state after steps 1..t on top of the backward state after
     steps T..t, as one graph node. With ``keep=False`` no step's gates or
     cells are kept and the result is a constant outside the graph.
     """
-    xd = x.data
+    xd, w = x.data, a.data
     if xd.ndim != 4:
         raise DimensionError(f"scan input must be (T, K, n_in, B), got shape {xd.shape}")
     n_t, n_k, n_in, n_b = xd.shape
     if n_t == 0:
         raise DimensionError("empty sequence")
-    if not params or len(params) != n_k:
-        raise DimensionError(f"{len(params)} parameter sets for {n_k} sequences")
-    d = params[0].d
-    for p in params:
-        if p.d != d or p.forward.n_in != n_in:
-            raise DimensionError(
-                f"parameters (d={p.d}, n_in={p.forward.n_in}) do not match "
-                f"(d={d}, n_in={n_in})")
     n_s = 2 * n_k
-
-    # recurrence s = 2k + direction; every block's rows stacked i, f, o, g,
-    # columns [U | W | b] so that one product per step against the column
-    # [h_prev; x; 1] gives all pre-activations
-    directions = [lp for p in params for lp in (p.forward, p.backward)]
-    blocks = [_tensorize(v) for lp in directions for _, v in lp.named()]
+    d = w.shape[1] // 4 if w.ndim == 3 else 0
     n_a = d + n_in + 1
-    a = np.empty((n_s, 4 * d, n_a))
-    for s, q in np.ndindex(n_s, 4):
-        w, u, b = (t.data for t in blocks[12 * s + 3 * q:12 * s + 3 * q + 3])
-        rows = a[s, q * d:(q + 1) * d]
-        rows[:, :d], rows[:, d:-1], rows[:, -1] = u, w, b
-    a_half = a.copy()
+    if d == 0 or w.shape != (n_s, 4 * d, n_a):
+        raise DimensionError(
+            f"parameter stack {w.shape} does not match {n_k} sequences of width {n_in} "
+            f"(expected ({n_s}, 4d, d + {n_in + 1}))")
+    a_half = w.copy()
     a_half[:, :3 * d] *= 0.5  # exact: scaling by a power of two commutes with rounding
 
     # hx[s] = [h_{s-1}; x_s; 1] per recurrence; backward directions see
@@ -205,7 +118,7 @@ def bilstm_encode_steps(x: Tensor, params: Sequence[BiLstmParams],
         dh_all[:, :, 0] = adj[:, :, 0]
         dh_all[:, :, 1] = adj[::-1, :, 1]
         dh_all = dh_all.reshape(n_t, n_s, d, n_b)
-        a_t = a.transpose(0, 2, 1)
+        a_t = w.transpose(0, 2, 1)
         da = np.zeros((n_s, 4 * d, n_a))
         dxs = np.empty((n_t, n_s, n_in, n_b))
         up = np.empty((n_s, 3 * d, n_b))
@@ -244,10 +157,6 @@ def bilstm_encode_steps(x: Tensor, params: Sequence[BiLstmParams],
             da += np.matmul(z, hx[s].swapaxes(-1, -2))
 
         dxs = dxs.reshape(n_t, n_k, 2, n_in, n_b)
-        grads = [dxs[:, :, 0] + dxs[::-1, :, 1]]
-        for s, q in np.ndindex(n_s, 4):
-            rows = da[s, q * d:(q + 1) * d]
-            grads += [rows[:, d:-1], rows[:, :d], rows[:, -1]]
-        return grads
+        return dxs[:, :, 0] + dxs[::-1, :, 1], da
 
-    return ad.custom(out, "bilstm_scan", (x, *blocks), bwd)
+    return ad.custom(out, "bilstm_scan", (x, a), bwd)

@@ -27,9 +27,17 @@ level is a single fused scan (:func:`~trackattn.lstm.bilstm_encode_steps`)
 over all M marks at once in the per-mark variants (K=M, n_in=1) or over
 the joint M-wide columns (K=1, n_in=M), followed by one attention-pool
 node; the mark level of ``lstm-alpha-beta`` is one more scan and pool over
-the mark summaries in ``mark_order``. A B=16 training step therefore
-records about 160 nodes, most of them parameter leaves. The mean negative
-log-likelihood over the batch is the training root.
+the mark summaries in ``mark_order``. The mean negative log-likelihood
+over the batch is the training root.
+
+A :class:`ParameterStore` keeps every parameter in one contiguous float64
+vector. Each encoder's gates are one fused block in the layout the scan
+reads, a (2K, 4d, d + n_in + 1) stack of [U | W | b] matrices, and the
+contexts and head weights are blocks beside them; the forward pass makes
+one leaf per fused block. A B=16 training step therefore records fewer
+than 20 nodes, as many for M=2 marks as for M=5. The per-gate checkpoint
+names (``bin_lstm.{k}.{fwd|bwd}.{w|u|b}_{i|f|o|g}``, ``bin_context.{k}``,
+...) are views into the same vector.
 
 A pass that no backward pass follows (scoring, validation, attention
 maps) runs with ``grad=False``: both scans then keep no per-step gates or
@@ -43,7 +51,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +59,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError, IngestionError
 from .ioutil import atomic_write_bytes
-from .lstm import GATES, BiLstmParams, LstmParams, bilstm_encode_steps
+from .lstm import GATES, bilstm_encode_steps
 
 VARIANTS = ("lstm", "lstm-attn", "lstm-alpha", "lstm-alpha-beta")
 PER_MARK_VARIANTS = ("lstm-alpha", "lstm-alpha-beta")
@@ -121,135 +129,98 @@ class Prediction:
         return 1 if self.prob_high > self.prob_low else -1
 
 
-@dataclass
-class ParameterStore:
-    """Every trainable block of one model, as plain float64 arrays.
+def parameter_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """The (name, shape) of every fused block of cfg's model, in the order
+    they occupy the flat parameter vector.
 
-    Which fields are populated depends on the variant; ``named_blocks``
-    yields (name, array) pairs in a stable canonical order that doubles as
-    the checkpoint layout and the initialization draw order.
+    ``bin_lstm`` and ``mark_lstm`` are (2K, 4d, d + n_in + 1) stacks of
+    [U | W | b] blocks (recurrence s = 2k + direction, rows i, f, o, g);
+    ``bin_context`` holds one context row shared by every mark, or one
+    per mark, and ``mark_context`` one row.
     """
-
-    bin_lstms: list[BiLstmParams]
-    bin_contexts: list[np.ndarray] = field(default_factory=list)
-    mark_lstm: BiLstmParams | None = None
-    mark_context: np.ndarray | None = None
-    hidden_w: np.ndarray | None = None
-    hidden_b: np.ndarray | None = None
-    classifier_w: np.ndarray = None
-    classifier_b: np.ndarray = None
-
-    def named_blocks(self):
-        for j, bl in enumerate(self.bin_lstms):
-            for dirname, lp in (("fwd", bl.forward), ("bwd", bl.backward)):
-                for fname, value in lp.named():
-                    yield f"bin_lstm.{j}.{dirname}.{fname}", value
-        for k, ctx in enumerate(self.bin_contexts):
-            yield f"bin_context.{k}", ctx
-        if self.mark_lstm is not None:
-            for dirname, lp in (("fwd", self.mark_lstm.forward), ("bwd", self.mark_lstm.backward)):
-                for fname, value in lp.named():
-                    yield f"mark_lstm.{dirname}.{fname}", value
-        if self.mark_context is not None:
-            yield "mark_context", self.mark_context
-        if self.hidden_w is not None:
-            yield "hidden.w", self.hidden_w
-            yield "hidden.b", self.hidden_b
-        yield "classifier.w", self.classifier_w
-        yield "classifier.b", self.classifier_b
-
-    def map_blocks(self, fn) -> "ParameterStore":
-        """Rebuild the store with fn(name, value) applied to every block."""
-        def lstm(prefix, lp):
-            return LstmParams(**{n: fn(f"{prefix}.{n}", v) for n, v in lp.named()})
-
-        def bilstm(prefix, bl):
-            return BiLstmParams(lstm(f"{prefix}.fwd", bl.forward), lstm(f"{prefix}.bwd", bl.backward))
-
-        return ParameterStore(
-            bin_lstms=[bilstm(f"bin_lstm.{j}", bl) for j, bl in enumerate(self.bin_lstms)],
-            bin_contexts=[fn(f"bin_context.{k}", c) for k, c in enumerate(self.bin_contexts)],
-            mark_lstm=None if self.mark_lstm is None else bilstm("mark_lstm", self.mark_lstm),
-            mark_context=None if self.mark_context is None else fn("mark_context", self.mark_context),
-            hidden_w=None if self.hidden_w is None else fn("hidden.w", self.hidden_w),
-            hidden_b=None if self.hidden_b is None else fn("hidden.b", self.hidden_b),
-            classifier_w=fn("classifier.w", self.classifier_w),
-            classifier_b=fn("classifier.b", self.classifier_b),
-        )
-
-    def copy(self) -> "ParameterStore":
-        return self.map_blocks(lambda _, v: v.copy())
-
-    def n_parameters(self) -> int:
-        return sum(v.size for _, v in self.named_blocks())
-
-
-def _skeleton(cfg: ModelConfig) -> ParameterStore:
-    """cfg's parameter store with every block a read-only placeholder of
-    its shape that holds no memory (a broadcast view of one scalar), so
-    block names and shapes are known before anything is allocated."""
-    def block(*shape):
-        return np.broadcast_to(np.float64(0.0), shape)
-
-    def bilstm(n_in, d):
-        def lstm():
-            return LstmParams(**{f"{kind}_{g}": block(*shape) for g in GATES
-                                 for kind, shape in (("w", (d, n_in)), ("u", (d, d)), ("b", (d,)))})
-        return BiLstmParams(lstm(), lstm())
-
     per_mark = cfg.variant in PER_MARK_VARIANTS
-    if per_mark:
-        bin_lstms = [bilstm(1, cfg.d) for _ in range(cfg.n_marks)]
-    else:
-        bin_lstms = [bilstm(cfg.n_marks, cfg.d)]
-
-    bin_contexts: list[np.ndarray] = []
+    n_k, n_in = (cfg.n_marks, 1) if per_mark else (1, cfg.n_marks)
+    layout = [("bin_lstm", (2 * n_k, 4 * cfg.d, cfg.d + n_in + 1))]
     if cfg.variant != "lstm":
         n_ctx = cfg.n_marks if (per_mark and not cfg.share_bin_context) else 1
-        bin_contexts = [block(2 * cfg.d) for _ in range(n_ctx)]
-
-    mark_lstm = mark_context = None
-    hidden_w = hidden_b = None
+        layout.append(("bin_context", (n_ctx, 2 * cfg.d)))
+    clf_in = 2 * cfg.d
     if cfg.variant == "lstm-alpha-beta":
-        mark_lstm = bilstm(2 * cfg.d, cfg.d_hm)
-        mark_context = block(2 * cfg.d_hm)
+        layout += [("mark_lstm", (2, 4 * cfg.d_hm, cfg.d_hm + 2 * cfg.d + 1)),
+                   ("mark_context", (1, 2 * cfg.d_hm))]
         clf_in = 2 * cfg.d_hm
     elif cfg.variant == "lstm-alpha":
-        hidden_w = block(ALPHA_HEAD_WIDTH, cfg.n_marks * 2 * cfg.d)
-        hidden_b = block(ALPHA_HEAD_WIDTH)
+        layout += [("hidden.w", (ALPHA_HEAD_WIDTH, cfg.n_marks * 2 * cfg.d)),
+                   ("hidden.b", (ALPHA_HEAD_WIDTH,))]
         clf_in = ALPHA_HEAD_WIDTH
-    else:
-        clf_in = 2 * cfg.d
+    return layout + [("classifier.w", (2, clf_in)), ("classifier.b", (2,))]
 
-    return ParameterStore(
-        bin_lstms=bin_lstms,
-        bin_contexts=bin_contexts,
-        mark_lstm=mark_lstm,
-        mark_context=mark_context,
-        hidden_w=hidden_w,
-        hidden_b=hidden_b,
-        classifier_w=block(2, clf_in),
-        classifier_b=block(2),
-    )
+
+def _checkpoint_views(blocks: dict[str, np.ndarray]):
+    """Yield (checkpoint name, view) for every per-gate and per-context
+    array inside the fused blocks, in the checkpoint's canonical order,
+    which is also the initialization draw order."""
+    for name, block in blocks.items():
+        if name.endswith("_lstm"):
+            d = block.shape[1] // 4
+            for s, stack in enumerate(block):
+                head = f"bin_lstm.{s // 2}" if name == "bin_lstm" else name
+                head += (".fwd", ".bwd")[s % 2]
+                for q, gate in enumerate(GATES):
+                    rows = stack[q * d:(q + 1) * d]
+                    yield f"{head}.w_{gate}", rows[:, d:-1]
+                    yield f"{head}.u_{gate}", rows[:, :d]
+                    yield f"{head}.b_{gate}", rows[:, -1]
+        elif name == "bin_context":
+            for k, row in enumerate(block):
+                yield f"bin_context.{k}", row
+        elif name == "mark_context":
+            yield name, block[0]
+        else:
+            yield name, block
+
+
+class ParameterStore:
+    """Every trainable parameter of one model in one contiguous float64
+    vector, ``flat``. ``blocks`` maps each fused block of ``layout`` (see
+    :func:`parameter_layout`) to its view into ``flat``; ``named_blocks``
+    yields the per-gate checkpoint names with their views."""
+
+    def __init__(self, layout: list[tuple[str, tuple[int, ...]]], flat: np.ndarray | None = None):
+        sizes = [math.prod(shape) for _, shape in layout]
+        if flat is None:
+            flat = np.zeros(sum(sizes))
+        if flat.shape != (sum(sizes),):
+            raise DimensionError(f"flat vector {flat.shape} does not hold {sum(sizes)} parameters")
+        self.layout = layout
+        self.flat = flat
+        self.blocks: dict[str, np.ndarray] = {}
+        offset = 0
+        for (name, shape), size in zip(layout, sizes):
+            self.blocks[name] = flat[offset:offset + size].reshape(shape)
+            offset += size
+
+    def named_blocks(self):
+        return _checkpoint_views(self.blocks)
+
+    def copy(self) -> "ParameterStore":
+        return ParameterStore(self.layout, self.flat.copy())
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ParameterStore:
     """Draw every weight uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), fan_in
-    being its last dimension, in block order; biases start at zero except
-    the forget gate's, which start at one."""
+    being its last dimension, in checkpoint order; biases start at zero
+    except the forget gate's, which start at one."""
     rng = np.random.default_rng(seed)
-    skeleton = _skeleton(cfg)
-    drawn = {}
-    for name, block in skeleton.named_blocks():
+    params = ParameterStore(parameter_layout(cfg))
+    for name, view in params.named_blocks():
         field_name = name.rsplit(".", 1)[-1]
         if field_name == "b_f":
-            drawn[name] = np.ones(block.shape)
-        elif field_name == "b" or field_name.startswith("b_"):
-            drawn[name] = np.zeros(block.shape)
-        else:
-            bound = 1.0 / np.sqrt(block.shape[-1])
-            drawn[name] = rng.uniform(-bound, bound, size=block.shape)
-    return skeleton.map_blocks(lambda name, _: drawn[name])
+            view[...] = 1.0
+        elif not (field_name == "b" or field_name.startswith("b_")):
+            bound = 1.0 / np.sqrt(view.shape[-1])
+            view[...] = rng.uniform(-bound, bound, size=view.shape)
+    return params
 
 
 # ------------------------------------------------------------- forward pass
@@ -262,35 +233,30 @@ class BatchForward:
     logits: Tensor                       # (2, B)
     alphas: np.ndarray | None            # (n_rows, T, B): per mark, one joint row for lstm-attn
     betas: np.ndarray | None             # (M, B), rows in mark-sequence order
-    leaves: dict[str, Tensor]            # parameter leaves by block name
+    leaves: dict[str, Tensor]            # one parameter leaf per fused block
     inputs: Tensor                       # (T, M, 1, B) per mark, or (T, 1, M, B) joint
 
-
-def _leafed(params: ParameterStore) -> tuple[ParameterStore, dict[str, Tensor]]:
-    leaves: dict[str, Tensor] = {}
-
-    def wrap(name, value):
-        t = Tensor(value)
-        leaves[name] = t
-        return t
-
-    return params.map_blocks(wrap), leaves
+    def flat_gradient(self) -> np.ndarray:
+        """The parameter gradient after a backward pass, laid out like
+        :attr:`ParameterStore.flat`."""
+        return np.concatenate([leaf.adjoint.reshape(-1) for leaf in self.leaves.values()])
 
 
-def _attend_steps(steps: Tensor, contexts: list[Tensor]) -> tuple[np.ndarray, Tensor]:
+def _attend_steps(steps: Tensor, contexts: Tensor) -> tuple[np.ndarray, Tensor]:
     """Batched soft attention over the steps of a (T, K, d_h, B) stack,
     independently for each of the K sequences and B columns.
 
-    ``contexts`` holds one (d_h,) context shared by every sequence, or one
-    per sequence. Scores are context dot products, normalized over the T
-    steps by the max-subtracted softmax. Returns the (T, K, B) weights
-    (values only) and the (K, d_h, B) weighted sums as one graph node.
+    ``contexts`` is (1, d_h), one context shared by every sequence, or
+    (K, d_h), one per sequence. Scores are context dot products,
+    normalized over the T steps by the max-subtracted softmax. Returns the
+    (T, K, B) weights (values only) and the (K, d_h, B) weighted sums as
+    one graph node.
     """
     hd = steps.data
     _, n_k, n_h, _ = hd.shape
-    ctx = np.stack([c.data for c in contexts])                           # (1 or K, d_h)
-    if ctx.shape[1:] != (n_h,) or ctx.shape[0] not in (1, n_k):
-        raise DimensionError(f"{ctx.shape[0]} contexts of length {ctx.shape[1]} do not match "
+    ctx = contexts.data
+    if ctx.ndim != 2 or ctx.shape[1] != n_h or ctx.shape[0] not in (1, n_k):
+        raise DimensionError(f"contexts of shape {ctx.shape} do not match "
                              f"{n_k} sequences of height {n_h}")
     scores = (hd * ctx[:, :, None]).sum(axis=2)                          # (T, K, B)
     e = np.exp(scores - scores.max(axis=0))
@@ -302,11 +268,11 @@ def _attend_steps(steps: Tensor, contexts: list[Tensor]) -> tuple[np.ndarray, Te
         ds = weights * (dw - (dw * weights).sum(axis=0))
         dh = weights[:, :, None, :] * adj + ctx[:, :, None] * ds[:, :, None, :]
         dctx = (hd * ds[:, :, None, :]).sum(axis=(0, 3))                 # (K, d_h)
-        if len(contexts) == 1:
-            return dh, dctx.sum(axis=0)
-        return (dh, *dctx)
+        if len(ctx) == 1:
+            dctx = dctx.sum(axis=0, keepdims=True)
+        return dh, dctx
 
-    return weights, ad.custom(pooled, "attention_pool", (steps, *contexts), bwd)
+    return weights, ad.custom(pooled, "attention_pool", (steps, contexts), bwd)
 
 
 def _mark_sequence(pooled: Tensor, order: tuple[int, ...]) -> Tensor:
@@ -353,35 +319,35 @@ def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
         raise DimensionError(
             f"input shape {x.shape} does not match (B, {cfg.n_marks}, {cfg.n_bins})")
     n_b, n_m, _ = x.shape
-    store, leaves = _leafed(params)
+    leaves = {name: Tensor(block) for name, block in params.blocks.items()}
+    clf_w, clf_b = leaves["classifier.w"], leaves["classifier.b"]
     per_mark = cfg.variant in PER_MARK_VARIANTS
 
     steps = x.transpose(2, 1, 0)                                         # (T, M, B)
     inputs = Tensor(np.ascontiguousarray(steps[:, :, None] if per_mark else steps[:, None]))
-    encoded = bilstm_encode_steps(inputs, store.bin_lstms, keep=grad)    # (T, K, 2d, B)
+    encoded = bilstm_encode_steps(inputs, leaves["bin_lstm"], keep=grad)  # (T, K, 2d, B)
 
     if cfg.variant == "lstm":
-        logits = ad.affine(store.classifier_w, _final_states(encoded, cfg.d), store.classifier_b)
+        logits = ad.affine(clf_w, _final_states(encoded, cfg.d), clf_b)
         return BatchForward(logits, None, None, leaves, inputs)
 
-    weights, pooled = _attend_steps(encoded, store.bin_contexts)
+    weights, pooled = _attend_steps(encoded, leaves["bin_context"])
     alphas = weights.transpose(1, 0, 2)                                  # (K, T, B)
     d2 = 2 * cfg.d
     if cfg.variant == "lstm-attn":
-        logits = ad.affine(store.classifier_w, ad.reshape(pooled, (d2, n_b)), store.classifier_b)
+        logits = ad.affine(clf_w, ad.reshape(pooled, (d2, n_b)), clf_b)
         return BatchForward(logits, alphas, None, leaves, inputs)
 
     if cfg.variant == "lstm-alpha":
         stacked = ad.reshape(pooled, (n_m * d2, n_b))
-        hidden = ad.tanh(ad.affine(store.hidden_w, stacked, store.hidden_b))
-        logits = ad.affine(store.classifier_w, hidden, store.classifier_b)
+        hidden = ad.tanh(ad.affine(leaves["hidden.w"], stacked, leaves["hidden.b"]))
+        logits = ad.affine(clf_w, hidden, clf_b)
         return BatchForward(logits, alphas, None, leaves, inputs)
 
-    encoded_marks = bilstm_encode_steps(_mark_sequence(pooled, cfg.order), [store.mark_lstm],
+    encoded_marks = bilstm_encode_steps(_mark_sequence(pooled, cfg.order), leaves["mark_lstm"],
                                         keep=grad)
-    betas, gene_vec = _attend_steps(encoded_marks, [store.mark_context])
-    logits = ad.affine(store.classifier_w, ad.reshape(gene_vec, (2 * cfg.d_hm, n_b)),
-                       store.classifier_b)
+    betas, gene_vec = _attend_steps(encoded_marks, leaves["mark_context"])
+    logits = ad.affine(clf_w, ad.reshape(gene_vec, (2 * cfg.d_hm, n_b)), clf_b)
     return BatchForward(logits, alphas, betas[:, 0], leaves, inputs)
 
 
@@ -514,30 +480,29 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, int, ParameterStore]:
     cfg, seed, entries = _read_header(path, head)
 
     # Compare names and shapes with the config's before allocating, so
-    # that a header cannot ask for more memory than its payload holds.
-    # Per-mark variants have over 20 blocks per mark.
+    # that a header cannot ask for more memory than its payload holds:
+    # the expected blocks are views of memoryless placeholders. Per-mark
+    # variants have over 20 blocks per mark.
     if cfg.variant in PER_MARK_VARIANTS and cfg.n_marks > len(entries):
         raise ContractError(f"{path}: block names do not match variant {cfg.variant!r}")
-    skeleton = _skeleton(cfg)
-    expected = [(name, block.shape) for name, block in skeleton.named_blocks()]
+    layout = parameter_layout(cfg)
+    placeholders = {name: np.broadcast_to(np.float64(0.0), shape) for name, shape in layout}
+    expected = [(name, view.shape) for name, view in _checkpoint_views(placeholders)]
     if [name for name, _ in expected] != [name for name, _ in entries]:
         raise ContractError(f"{path}: block names do not match variant {cfg.variant!r}")
     for (name, want), (_, shape) in zip(expected, entries):
         if shape != want:
             raise ContractError(f"{path}: block {name} has shape {shape}, expected {want}")
+    n_bytes = 8 * sum(math.prod(shape) for _, shape in layout)
+    if len(body) != n_bytes:
+        raise ContractError(f"{path}: payload holds {len(body)} bytes, expected {n_bytes}")
 
-    arrays: dict[str, np.ndarray] = {}
+    params = ParameterStore(layout)
     offset = 0
-    for name, shape in expected:
-        size = math.prod(shape)
-        raw = body[offset:offset + 8 * size]
-        if len(raw) != 8 * size:
-            raise ContractError(f"{path}: truncated payload at block {name}")
-        arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-        offset += 8 * size
-    if offset != len(body):
-        raise ContractError(f"{path}: trailing bytes after last block")
-    for name, value in arrays.items():
-        if not np.isfinite(value).all():
+    for name, view in params.named_blocks():
+        raw = np.frombuffer(body, dtype="<f8", count=view.size, offset=offset)
+        if not np.isfinite(raw).all():
             raise IngestionError(f"{path}: block {name} holds non-finite values")
-    return cfg, seed, skeleton.map_blocks(lambda name, _: arrays[name])
+        view[...] = raw.reshape(view.shape)
+        offset += 8 * view.size
+    return cfg, seed, params

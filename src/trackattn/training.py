@@ -89,46 +89,36 @@ def write_history(path: str, history: TrainHistory) -> None:
     atomic_write_text(path, history.to_csv())
 
 
-def init_optimizer_state(blocks: dict[str, np.ndarray], cfg: TrainConfig) -> dict:
+def init_optimizer_state(params: np.ndarray, cfg: TrainConfig) -> dict:
     if cfg.optimizer == "sgd":
         return {}
-    return {"t": 0,
-            "m": {name: np.zeros_like(v) for name, v in blocks.items()},
-            "v": {name: np.zeros_like(v) for name, v in blocks.items()}}
+    return {"t": 0, "m": np.zeros_like(params), "v": np.zeros_like(params)}
 
 
-def optimizer_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                   state: dict, cfg: TrainConfig) -> tuple[dict, dict]:
-    """Update parameter arrays in place; returns (params, state)."""
+def optimizer_step(params: np.ndarray, grad: np.ndarray, state: dict, cfg: TrainConfig) -> None:
+    """Update the flat parameter vector in place."""
     if cfg.optimizer == "sgd":
-        for name, p in params.items():
-            p -= cfg.learning_rate * grads[name]
-        return params, state
-
+        params -= cfg.learning_rate * grad
+        return
     state["t"] += 1
     t = state["t"]
-    for name, p in params.items():
-        g = grads[name]
-        m = state["m"][name]
-        v = state["v"][name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return params, state
+    m, v = state["m"], state["v"]
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so the global norm is at most max_norm;
-    returns the pre-clip norm."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
+    """Scale the flat gradient in place so its norm is at most max_norm;
+    returns the pre-clip norm. The sum is numpy's own reduction, not a
+    BLAS dot, so the norm does not depend on the BLAS thread count."""
+    total = np.sqrt(float((grad * grad).sum()))
     if total > max_norm:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        grad *= max_norm / total
     return total
 
 
@@ -159,8 +149,7 @@ def train(cfg: TrainConfig, mcfg: ModelConfig, train_ds: Dataset,
         raise ContractError("validation set needs both classes for AUC model selection")
 
     params = init_params(mcfg, cfg.seed)
-    blocks = dict(params.named_blocks())
-    state = init_optimizer_state(blocks, cfg)
+    state = init_optimizer_state(params.flat, cfg)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
 
     x_train = train_ds.signals()
@@ -186,9 +175,9 @@ def train(cfg: TrainConfig, mcfg: ModelConfig, train_ds: Dataset,
                     f"non-finite loss at epoch {epoch}, batch {batch_index}")
             loss_total += loss_value * idx.size
             ad.backward(root)
-            grads = {name: bf.leaves[name].adjoint for name in blocks}
-            clip_gradients(grads, cfg.grad_clip_norm)
-            optimizer_step(blocks, grads, state, cfg)
+            grad = bf.flat_gradient()
+            clip_gradients(grad, cfg.grad_clip_norm)
+            optimizer_step(params.flat, grad, state, cfg)
 
         val_probs = predict_probs(x_val, params, mcfg)
         val_auc = auc(ScoredSet(val_probs, val_labels))

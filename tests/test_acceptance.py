@@ -19,8 +19,8 @@ from trackattn.cli import main as cli_main
 from trackattn.data import Dataset, SynthSpec, restrict_marks, split, synth_generate
 from trackattn.metrics import (ScoredSet, auc, interpretation_correlation, mean_attention,
                                mean_saliency, predict_probs)
-from trackattn.model import (ModelConfig, extract_profiles, forward, forward_batch,
-                             init_params, nll_loss_batch)
+from trackattn.model import (ModelConfig, ParameterStore, extract_profiles, forward,
+                             forward_batch, init_params, nll_loss_batch)
 from trackattn.training import TrainConfig, train
 
 TINY = ModelConfig(n_marks=3, n_bins=8, d=4, d_hm=3, variant="lstm-alpha-beta")
@@ -63,22 +63,23 @@ def test_criterion_01_gradient_correctness():
     bf = forward_batch(x, params, TINY)
     ad.backward(nll_loss_batch(bf.logits, labels))
 
-    arrays = [v for _, v in params.named_blocks()]
-    names = [n for n, _ in params.named_blocks()]
-
-    def loss_fn(*arrs):
+    def loss_fn(flat):
         out = forward_batch(x, params, TINY)
         return float(nll_loss_batch(out.logits, labels).data)
 
-    numeric = finite_diff(loss_fn, arrays, eps=1e-5)
-    worst = 0.0
-    for name, num in zip(names, numeric):
-        err = max_rel_error(bf.leaves[name].adjoint, num, floor=1e-8)
+    # every entry of the flat vector, compared block by block under its
+    # checkpoint name
+    (numeric,) = finite_diff(loss_fn, [params.flat], eps=1e-5)
+    analytic = ParameterStore(params.layout, bf.flat_gradient()).named_blocks()
+    numeric = ParameterStore(params.layout, numeric).named_blocks()
+    worst, n_blocks = 0.0, 0
+    for (name, got), (_, num) in zip(analytic, numeric):
+        err = max_rel_error(got, num, floor=1e-8)
         assert err < 1e-4, f"block {name}: max rel err {err:.3e}"
-        worst = max(worst, err)
+        worst, n_blocks = max(worst, err), n_blocks + 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"gradient check took {elapsed:.1f}s"
-    print(f"\n  all {len(names)} blocks ({sum(a.size for a in arrays)} parameters), "
+    print(f"\n  all {n_blocks} blocks ({params.flat.size} parameters), "
           f"worst rel err {worst:.2e}, {elapsed:.1f}s")
     report(1, "gradient correctness")
 

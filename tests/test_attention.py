@@ -15,8 +15,9 @@ from trackattn.model import _attend_steps
 
 
 def attend(steps, *contexts):
-    """Weights (T, K, B) and summaries (K, d_h, B) as arrays."""
-    weights, pooled = _attend_steps(Tensor(steps), [Tensor(c) for c in contexts])
+    """Weights (T, K, B) and summaries (K, d_h, B) as arrays; the contexts
+    are stacked into the (1 or K, d_h) array the pool takes."""
+    weights, pooled = _attend_steps(Tensor(steps), Tensor(np.stack(contexts)))
     return weights, pooled.data
 
 
@@ -87,15 +88,15 @@ def test_gradients_match_finite_differences():
     # the single-sample shape forward() runs: one sequence, one column
     rng = np.random.default_rng(5)
     hd = rng.normal(size=(5, 1, 3, 1))
-    cd = rng.normal(size=3)
+    cd = rng.normal(size=(1, 3))
     probe = rng.normal(size=(1, 3, 1))
 
     def run(h_arr, c_arr):
-        _, m = _attend_steps(Tensor(h_arr), [Tensor(c_arr)])
+        _, m = _attend_steps(Tensor(h_arr), Tensor(c_arr))
         return ad.sum_all(ad.hadamard(m, Tensor(probe)))
 
     h_leaf, c_leaf = Tensor(hd), Tensor(cd)
-    _, m = _attend_steps(h_leaf, [c_leaf])
+    _, m = _attend_steps(h_leaf, c_leaf)
     ad.backward(ad.sum_all(ad.hadamard(m, Tensor(probe))))
     numeric = finite_diff(lambda h, c: float(run(h, c).data), [hd, cd])
     assert_grads_match(h_leaf.adjoint, numeric[0], label="H")
@@ -111,4 +112,4 @@ def test_empty_candidates_rejected():
     with pytest.raises(DimensionError):
         attend(steps, np.zeros(3), np.zeros(3))         # neither shared nor one per sequence
     with pytest.raises(DimensionError):
-        attend(steps, np.zeros((3, 1)))                 # not a flat vector
+        attend(steps, np.zeros((3, 1)))                 # not a (1 or K, d_h) stack

@@ -14,7 +14,7 @@ from trackattn.metrics import (ScoredSet, auc, beta_to_csv, f1,
                                interpretation_correlation, map_to_csv, mean_attention,
                                mean_saliency, metrics_report_text, pearson, predict_probs,
                                score_dataset, write_map_csv, write_metrics_report)
-from trackattn.model import ModelConfig, forward, forward_batch, init_params
+from trackattn.model import ModelConfig, ParameterStore, forward, forward_batch, init_params
 
 # ---------------------------------------------------------------------- auc
 
@@ -208,7 +208,7 @@ def test_mean_attention_partition_mixture():
 
 def test_mean_attention_empty_class_errors():
     cfg, params = tiny_model(seed=8)
-    params = params.map_blocks(lambda _, v: np.zeros_like(v))
+    params = ParameterStore(params.layout)
     ds = tiny_dataset(4, cfg, seed=9)
     # zero model predicts exactly 0.5/0.5 -> ties resolve to -1, so +1 is empty
     with pytest.raises(MetricUndefinedError):
@@ -235,7 +235,7 @@ def test_saliency_nonnegative_and_zero_for_zero_model():
     sal = one_gene_saliency(x, params, cfg)
     assert sal.shape == (3, 8)
     assert (sal >= 0).all()
-    zeroed = params.map_blocks(lambda _, v: np.zeros_like(v))
+    zeroed = ParameterStore(params.layout)
     np.testing.assert_array_equal(one_gene_saliency(x, zeroed, cfg), np.zeros((3, 8)))
 
 

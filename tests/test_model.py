@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from _gradcheck import assert_grads_match, finite_diff, finite_diff_entries, max
 from _oracle import straight_line_forward
 from trackattn import autodiff as ad
 from trackattn.autodiff import Tensor
-from trackattn.errors import ContractError, DimensionError
+from trackattn.errors import ContractError, DimensionError, IngestionError
 from trackattn.lstm import bilstm_encode_steps
 from trackattn.model import (ModelConfig, ParameterStore, collect_input_gradients,
                              extract_profiles, forward, forward_batch, init_params,
@@ -26,7 +27,18 @@ def tiny_cfg(variant="lstm-alpha-beta", **kw):
 
 
 def zeroed(params):
-    return params.map_blocks(lambda _, v: np.zeros_like(v))
+    return ParameterStore(params.layout)
+
+
+def flat_positions(params):
+    """Per checkpoint name, the positions of its entries in the flat vector."""
+    index = ParameterStore(params.layout, np.arange(params.flat.size, dtype=np.float64))
+    return {name: view.reshape(-1).astype(np.intp) for name, view in index.named_blocks()}
+
+
+def named_gradients(bf, params):
+    """Per checkpoint name, the view of the flat gradient after a backward pass."""
+    return dict(ParameterStore(params.layout, bf.flat_gradient()).named_blocks())
 
 
 @pytest.mark.parametrize("variant", ["lstm", "lstm-attn", "lstm-alpha", "lstm-alpha-beta"])
@@ -149,10 +161,10 @@ def test_full_size_gradient_sampled(variant):
         return rng.choice(candidates, size=min(size, candidates.size), replace=False)
 
     checked = 0
-    for name, arr in params.named_blocks():
-        analytic = bf.leaves[name].adjoint
+    grads, positions = named_gradients(bf, params), flat_positions(params)
+    for name, analytic in grads.items():
         idx = sample(analytic, 1)
-        numeric = finite_diff_entries(f, arr, idx)
+        numeric = finite_diff_entries(f, params.flat, positions[name][idx])
         err = max_rel_error(analytic.reshape(-1)[idx], numeric)
         assert err < 1e-4, f"{variant} block {name}: max rel err {err:.2e}"
         checked += idx.size
@@ -160,7 +172,7 @@ def test_full_size_gradient_sampled(variant):
     numeric = finite_diff_entries(f, x, cells)
     err = max_rel_error(input_grad.reshape(-1)[cells], numeric)
     assert err < 1e-4, f"{variant} input cells: max rel err {err:.2e}"
-    assert cells.size == 8 and checked >= len(list(params.named_blocks())) - 2
+    assert cells.size == 8 and checked >= len(grads) - 2
 
 
 VARIANTS = ["lstm", "lstm-attn", "lstm-alpha", "lstm-alpha-beta"]
@@ -253,38 +265,42 @@ def test_attention_pool_gradients_match_finite_differences(n_contexts):
     # per sequence; the weights are the max-subtracted softmax over T
     rng = np.random.default_rng(91)
     steps = rng.normal(size=(4, 3, 2, 5))
-    contexts = [rng.normal(size=2) for _ in range(n_contexts)]
+    contexts = rng.normal(size=(n_contexts, 2))
     mix = rng.normal(size=(3, 2, 5))
 
-    def run(*arrays):
-        weights, pooled = _attend_steps(Tensor(arrays[0]), [Tensor(c) for c in arrays[1:]])
-        return float((pooled.data * mix).sum()), weights
+    def run(h, c):
+        return float((_attend_steps(Tensor(h), Tensor(c))[1].data * mix).sum())
 
-    leaves = [Tensor(steps)] + [Tensor(c) for c in contexts]
-    weights, pooled = _attend_steps(leaves[0], leaves[1:])
+    leaves = [Tensor(steps), Tensor(contexts)]
+    weights, pooled = _attend_steps(*leaves)
     ad.backward(ad.sum_all(ad.hadamard(pooled, Tensor(mix))))
     np.testing.assert_allclose(weights.sum(axis=0), 1.0, atol=1e-15)
-    numeric = finite_diff(lambda *arrays: run(*arrays)[0], [steps] + contexts)
+    numeric = finite_diff(run, [steps, contexts])
     for leaf, num in zip(leaves, numeric):
         assert_grads_match(leaf.adjoint, num)
     with pytest.raises(DimensionError):
-        _attend_steps(leaves[0], [leaves[1]] * 2)      # neither shared nor one per sequence
+        _attend_steps(leaves[0], Tensor(np.ones((2, 2))))  # neither shared nor one per sequence
+    with pytest.raises(DimensionError):
+        _attend_steps(leaves[0], Tensor(np.ones(2)))       # not a (1 or K, d_h) stack
 
 
 def graph_nodes(root):
     return len(graph_ops(root))
 
 
-@pytest.mark.parametrize("variant,bound", [("lstm", 60), ("lstm-attn", 60),
-                                           ("lstm-alpha", 200), ("lstm-alpha-beta", 200)])
-def test_training_step_graph_stays_small(variant, bound):
-    # one scan node per encoder and one pool node per attention level; the
-    # count does not grow with T or B (the parameter leaves dominate it)
-    cfg = ModelConfig(n_marks=5, n_bins=12, variant=variant)
-    x = np.random.default_rng(81).normal(size=(16, 5, 12))
-    labels = np.where(np.arange(16) % 2 == 0, 1, -1)
-    root = nll_loss_batch(forward_batch(x, init_params(cfg, seed=0), cfg).logits, labels)
-    assert graph_nodes(root) <= bound
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_training_step_graph_stays_small(variant):
+    # one leaf per fused parameter block, one scan node per encoder and one
+    # pool node per attention level: the count grows with neither T, B nor M
+    def step_nodes(n_marks):
+        cfg = ModelConfig(n_marks=n_marks, n_bins=12, variant=variant)
+        x = np.random.default_rng(81).normal(size=(16, n_marks, 12))
+        labels = np.where(np.arange(16) % 2 == 0, 1, -1)
+        return graph_nodes(nll_loss_batch(forward_batch(x, init_params(cfg, seed=0), cfg).logits,
+                                          labels))
+
+    assert step_nodes(5) <= 20
+    assert step_nodes(2) == step_nodes(5)
 
 
 def test_loss_examples():
@@ -343,7 +359,10 @@ def test_parameter_count_matches_closed_form():
         + 64 + 32                        # bin and mark contexts
         + 2 * 32 + 2                     # classifier
     )
-    assert params.n_parameters() == expected == 54050
+    assert params.flat.size == expected == 54050
+    # the per-name views cover every entry of the flat vector exactly once
+    positions = np.concatenate(list(flat_positions(params).values()))
+    assert np.array_equal(np.sort(positions), np.arange(expected))
 
 
 def test_alpha_rows_permute_with_their_marks():
@@ -353,14 +372,10 @@ def test_alpha_rows_permute_with_their_marks():
     base = forward(x, params, cfg)
 
     perm = [2, 0, 1]
-    permuted = ParameterStore(
-        bin_lstms=[params.bin_lstms[j] for j in perm],
-        bin_contexts=params.bin_contexts,
-        mark_lstm=params.mark_lstm,
-        mark_context=params.mark_context,
-        classifier_w=params.classifier_w,
-        classifier_b=params.classifier_b,
-    )
+    permuted = params.copy()
+    stacks = params.blocks["bin_lstm"]                                  # (2M, 4d, n_a)
+    by_mark = stacks.reshape(cfg.n_marks, 2, *stacks.shape[1:])
+    permuted.blocks["bin_lstm"][...] = by_mark[perm].reshape(stacks.shape)
     moved = forward(x[perm], permuted, cfg)
     for k, j in enumerate(perm):
         assert np.array_equal(moved.attention.alpha[k], base.attention.alpha[j])
@@ -373,23 +388,24 @@ def componentwise_forward(x, params, cfg, shift_mark0=None):
     scan and pool one mark at a time. With ``shift_mark0``, that constant
     is added to mark 0's bin scores before normalizing, through one more
     coordinate: 1 in the context, the constant in every encoded step."""
+    blocks = params.blocks
     summaries = []
     alphas = []
     for j in range(cfg.n_marks):
         h = bilstm_encode_steps(Tensor(x[j].reshape(cfg.n_bins, 1, 1, 1)),
-                                [params.bin_lstms[j]]).data
-        context = params.bin_contexts[0 if cfg.share_bin_context else j]
+                                Tensor(blocks["bin_lstm"][2 * j:2 * j + 2])).data
+        context = blocks["bin_context"][0 if cfg.share_bin_context else j]
         if j == 0 and shift_mark0 is not None:
             h = np.concatenate([h, np.full((cfg.n_bins, 1, 1, 1), shift_mark0)], axis=2)
             context = np.append(context, 1.0)
-        weights, pooled = _attend_steps(Tensor(h), [Tensor(context)])
+        weights, pooled = _attend_steps(Tensor(h), Tensor(context[None]))
         alphas.append(weights[:, 0, 0])
         summaries.append(pooled.data[:, :2 * cfg.d])
     seq = np.stack([summaries[j] for j in cfg.order])                   # (M, 1, 2d, 1)
-    s = bilstm_encode_steps(Tensor(seq), [params.mark_lstm])
-    beta_seq, gene_vec = _attend_steps(s, [Tensor(params.mark_context)])
-    logits = ad.affine(Tensor(params.classifier_w), Tensor(gene_vec.data[0]),
-                       Tensor(params.classifier_b))
+    s = bilstm_encode_steps(Tensor(seq), Tensor(blocks["mark_lstm"]))
+    beta_seq, gene_vec = _attend_steps(s, Tensor(blocks["mark_context"]))
+    logits = ad.affine(Tensor(blocks["classifier.w"]), Tensor(gene_vec.data[0]),
+                       Tensor(blocks["classifier.b"]))
     probs = logits_to_probs(logits.data)[:, 0]
     return probs, np.stack(alphas), beta_seq[:, 0, 0]
 
@@ -412,8 +428,8 @@ def test_bin_score_shift_leaves_prediction_bit_identical():
     x = np.random.default_rng(18).normal(size=(cfg.n_marks, cfg.n_bins))
 
     h0 = bilstm_encode_steps(Tensor(x[0].reshape(cfg.n_bins, 1, 1, 1)),
-                             [params.bin_lstms[0]]).data
-    c = -float((h0 * params.bin_contexts[0][:, None]).sum(axis=2).max())  # the pool's scores
+                             Tensor(params.blocks["bin_lstm"][:2])).data
+    c = -float((h0 * params.blocks["bin_context"][0][:, None]).sum(axis=2).max())  # the scores
 
     base = componentwise_forward(x, params, cfg)
     shifted = componentwise_forward(x, params, cfg, shift_mark0=c)
@@ -437,10 +453,10 @@ def _block_gradients(cfg, seed, n_samples=2, n_entries=3):
         return float(nll_loss_batch(out.logits, labels).data)
 
     worst = 0.0
-    for name, arr in params.named_blocks():
-        analytic = bf.leaves[name].adjoint
-        idx = rng.choice(arr.size, size=min(n_entries, arr.size), replace=False)
-        numeric = finite_diff_entries(f, arr, idx)
+    positions = flat_positions(params)
+    for name, analytic in named_gradients(bf, params).items():
+        idx = rng.choice(analytic.size, size=min(n_entries, analytic.size), replace=False)
+        numeric = finite_diff_entries(f, params.flat, positions[name][idx])
         worst = max(worst, max_rel_error(analytic.reshape(-1)[idx], numeric))
     return worst
 
@@ -562,3 +578,64 @@ def test_checkpoint_header_cannot_demand_memory(tmp_path, edit):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+# sha256 of save_checkpoint(init_params(cfg, seed=5)) at TINY shapes, recorded
+# before the parameters moved into one flat vector: checkpoint bytes and the
+# initialization draw order must not change with the store's layout
+CHECKPOINT_DIGESTS = [
+    ("lstm", True, None, "bda74755f9f06bf67f208d815c49e7f138d01c2bf01a17a82feeada4384b0a18"),
+    ("lstm-attn", True, None, "ce7593f7066d8f4be2de568ca8443a59e5b1d1d30af1cf03d841cf1285c8c354"),
+    ("lstm-alpha", True, None, "12639d009e7546a34b6436cf84c404c9cb3f01e335cbf7b0fbccbc8bcab23b9a"),
+    ("lstm-alpha-beta", True, None,
+     "94dd44f732c8327c33beb30a124ae2e14193c70d440be220d39865d4e1adff59"),
+    ("lstm-alpha-beta", False, (2, 0, 1),
+     "a18cd6318653ee0d0be05beb40a169e29af52537cbe50a6d13cebc61dc06442c"),
+]
+
+
+@pytest.mark.parametrize("variant,share,order,digest", CHECKPOINT_DIGESTS)
+def test_checkpoint_bytes_match_recorded_digest(tmp_path, variant, share, order, digest):
+    cfg = tiny_cfg(variant, share_bin_context=share, mark_order=order)
+    path = os.path.join(tmp_path, "model.ckpt")
+    save_checkpoint(path, cfg, 5, init_params(cfg, seed=5))
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    cfg = tiny_cfg(share_bin_context=False, mark_order=(2, 0, 1))
+    path = str(tmp_path_factory.mktemp("fuzz") / "model.ckpt")
+    save_checkpoint(path, cfg, 5, init_params(cfg, seed=5))
+    return path, open(path, "rb").read()
+
+
+@st.composite
+def corrupted(draw, blob):
+    out = bytearray(blob)
+    kind = draw(st.sampled_from(["truncate", "extend", "flip"]))
+    if kind == "truncate":
+        del out[draw(st.integers(0, len(out) - 1)):]
+    elif kind == "extend":
+        out += draw(st.binary(min_size=1, max_size=64))
+    else:
+        for _ in range(draw(st.integers(1, 8))):
+            out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_checkpoint_loader_fuzz_fails_only_typed(valid_checkpoint, data):
+    # any truncation, extension or byte flip of a valid container either
+    # loads or raises ContractError / IngestionError, never anything else
+    path, blob = valid_checkpoint
+    mutated = data.draw(corrupted(blob))
+    with open(path, "wb") as fh:
+        fh.write(mutated)
+    try:
+        cfg, _, params = load_checkpoint(path)
+    except (ContractError, IngestionError):
+        return
+    assert np.isfinite(params.flat).all()
+    assert params.flat.size * 8 == len(mutated.split(b"\n", 2)[2])

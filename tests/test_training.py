@@ -4,7 +4,8 @@ import pytest
 from trackattn import autodiff as ad
 from trackattn.data import Dataset, SynthSpec, split, synth_generate
 from trackattn.errors import ContractError, NumericalError
-from trackattn.model import ModelConfig, forward_batch, init_params, nll_loss_batch
+from trackattn.model import (ModelConfig, ParameterStore, forward_batch, init_params,
+                             nll_loss_batch)
 from trackattn.metrics import predict_probs
 from trackattn.training import (TrainConfig, clip_gradients, init_optimizer_state,
                                 optimizer_step, train, write_history)
@@ -28,41 +29,41 @@ def small_mcfg():
 def test_zero_gradients_leave_parameters_unchanged():
     for opt in ("sgd", "adaptive-moments"):
         cfg = TrainConfig(optimizer=opt, learning_rate=0.1)
-        params = {"w": np.array([1.0, -2.0])}
+        params = np.array([1.0, -2.0])
         state = init_optimizer_state(params, cfg)
-        optimizer_step(params, {"w": np.zeros(2)}, state, cfg)
-        np.testing.assert_array_equal(params["w"], [1.0, -2.0])
+        optimizer_step(params, np.zeros(2), state, cfg)
+        np.testing.assert_array_equal(params, [1.0, -2.0])
 
 
 def test_sgd_arithmetic():
     cfg = TrainConfig(optimizer="sgd", learning_rate=0.1)
-    params = {"w": np.array([1.0])}
-    optimizer_step(params, {"w": np.array([2.0])}, init_optimizer_state(params, cfg), cfg)
-    assert params["w"][0] == pytest.approx(0.8, abs=1e-15)
+    params = np.array([1.0])
+    optimizer_step(params, np.array([2.0]), init_optimizer_state(params, cfg), cfg)
+    assert params[0] == pytest.approx(0.8, abs=1e-15)
 
 
 def test_adaptive_moments_first_step_closed_form():
     cfg = TrainConfig(optimizer="adaptive-moments", learning_rate=1e-3)
     for c in (3.0, -0.25):
-        params = {"w": np.array([0.0])}
+        params = np.array([0.0])
         state = init_optimizer_state(params, cfg)
-        optimizer_step(params, {"w": np.array([c])}, state, cfg)
+        optimizer_step(params, np.array([c]), state, cfg)
         expected = -cfg.learning_rate * c / (abs(c) + 1e-8)
-        assert params["w"][0] == pytest.approx(expected, abs=1e-12)
+        assert params[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_clip_bounds_global_norm():
     rng = np.random.default_rng(0)
-    grads = {"a": 10 * rng.normal(size=(3, 4)), "b": 10 * rng.normal(size=7)}
-    pre = clip_gradients(grads, 5.0)
-    post = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    grad = 10 * rng.normal(size=19)
+    pre = clip_gradients(grad, 5.0)
+    post = np.sqrt(float((grad * grad).sum()))
     assert pre > 5.0
     assert post <= 5.0 + 1e-12
     assert post == pytest.approx(5.0, rel=1e-12)
 
-    small = {"a": np.array([0.1, 0.1])}
+    small = np.array([0.1, 0.1])
     clip_gradients(small, 5.0)
-    np.testing.assert_array_equal(small["a"], [0.1, 0.1])
+    np.testing.assert_array_equal(small, [0.1, 0.1])
 
 
 def test_train_config_validation():
@@ -115,20 +116,15 @@ def test_batch_gradient_equals_mean_of_per_sample_gradients():
     x = np.abs(rng.normal(size=(4, 2, 6)))
     y = np.array([1, -1, 1, -1])
 
-    bf = forward_batch(x, params, mcfg)
-    ad.backward(nll_loss_batch(bf.logits, y))
-    batch_grads = {name: bf.leaves[name].adjoint.copy() for name, _ in params.named_blocks()}
+    def gradient(lo, hi):
+        bf = forward_batch(x[lo:hi], params, mcfg)
+        ad.backward(nll_loss_batch(bf.logits, y[lo:hi]))
+        return bf.flat_gradient()
 
-    mean_grads = {name: np.zeros_like(v) for name, v in params.named_blocks()}
-    for i in range(4):
-        bfi = forward_batch(x[i:i + 1], params, mcfg)
-        ad.backward(nll_loss_batch(bfi.logits, y[i:i + 1]))
-        for name in mean_grads:
-            mean_grads[name] += bfi.leaves[name].adjoint / 4.0
-
-    for name in batch_grads:
-        np.testing.assert_allclose(batch_grads[name], mean_grads[name],
-                                   rtol=1e-10, atol=1e-10, err_msg=name)
+    batch = ParameterStore(params.layout, gradient(0, 4))
+    mean = ParameterStore(params.layout, sum(gradient(i, i + 1) for i in range(4)) / 4.0)
+    for (name, got), (_, want) in zip(batch.named_blocks(), mean.named_blocks()):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10, err_msg=name)
 
 
 def test_learns_linearly_separable_planted_signal():
