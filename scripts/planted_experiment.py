@@ -15,9 +15,8 @@ import argparse
 
 import numpy as np
 
-from trackattn import (ModelConfig, SynthSpec, TrainConfig, auc,
-                       interpretation_correlation, mean_attention, mean_saliency,
-                       score_dataset, split, synth_generate, train)
+from trackattn import (ModelConfig, SynthSpec, TrainConfig, auc, mean_attention,
+                       mean_saliency, pearson, score_dataset, split, synth_generate, train)
 from trackattn.cli import bin_window
 
 
@@ -65,7 +64,7 @@ def main():
     print(f"attention averaged over {attention.n_samples} predicted-positive test genes")
     for m in range(attention.alpha_mean.shape[0]):
         try:
-            r = interpretation_correlation(attention.alpha_mean[m], relevance[m])
+            r = pearson(attention.alpha_mean[m], relevance[m])
             tag = f"r={r:+.4f}"
         except Exception:
             tag = "r=undefined (flat reference)"
@@ -76,7 +75,7 @@ def main():
         print(f"mark attention argmax: mark {int(np.argmax(attention.beta_mean))}")
 
     sal = mean_saliency(test_ds, params, mcfg, predicted_class=1)
-    r_sal = interpretation_correlation(sal[spec.informative_mark], relevance[spec.informative_mark])
+    r_sal = pearson(sal[spec.informative_mark], relevance[spec.informative_mark])
     print(f"mean saliency of informative mark vs relevance: r={r_sal:+.4f}")
 
 

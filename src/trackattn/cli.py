@@ -195,21 +195,17 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _restrict(dataset, marks_text: str):
-    if not marks_text:
-        return dataset
-    return data_mod.restrict_marks(dataset, [int(i) for i in marks_text.split(",")])
-
-
 def cmd_train(args) -> int:
     resolved = resolve_run_config(parse_config_file(args.config), args.set)
     dataset = _load_labeled(resolved["dataset"], int(resolved["n_bins"]),
                             _parse_bool(resolved["arcsinh"]))
-    dataset = _restrict(dataset, resolved["marks"])
+    if resolved["marks"]:
+        dataset = data_mod.restrict_marks(dataset, _mark_list(resolved["marks"]))
     mcfg = _model_config(resolved, dataset.n_marks)
     tcfg = _train_config(resolved)
 
-    train_ds, val_ds, _ = _split(dataset, resolved["split"], int(resolved["split_seed"]))
+    train_ds, val_ds = _split(dataset, resolved["split"], int(resolved["split_seed"]))[:2]
+    del dataset  # the parts are copies; training holds only them
 
     params, history = train(tcfg, mcfg, train_ds, val_ds)
 
@@ -224,10 +220,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_for_checkpoint(args) -> tuple:
+def _mark_list(text: str) -> list[int]:
+    return [int(i) for i in text.split(",")]
+
+
+def _load_for_checkpoint(args, reference: str = "") -> tuple:
+    """The checkpoint, the dataset part it scores and, given a relevance
+    sidecar path, the sidecar's rows for the marks ``--marks`` keeps."""
     cfg, seed, params = load_checkpoint(args.checkpoint)
     dataset = _load_labeled(args.dataset, cfg.n_bins, args.arcsinh)
-    dataset = _restrict(dataset, args.marks)
+    n_file_marks, marks = dataset.n_marks, None
+    if args.marks:
+        marks = _mark_list(args.marks)
+        dataset = data_mod.restrict_marks(dataset, marks)
     if dataset.n_marks != cfg.n_marks or dataset.n_bins != cfg.n_bins:
         raise _DataError(
             f"dataset shape ({dataset.n_marks}, {dataset.n_bins}) does not match "
@@ -236,11 +241,18 @@ def _load_for_checkpoint(args) -> tuple:
         dataset = _split_part(dataset, args.split, args.split_seed, args.part)
         if len(dataset) == 0:
             raise _DataError(f"split part {args.part!r} is empty")
-    return cfg, params, dataset
+    rows = None
+    if reference:
+        rows = data_mod.load_relevance(reference, (n_file_marks, cfg.n_bins))
+        if marks is not None:
+            if max(marks) >= len(rows):
+                raise _DataError(f"reference {reference} has no row for mark {max(marks)}")
+            rows = rows[marks]
+    return cfg, params, dataset, rows
 
 
 def cmd_eval(args) -> int:
-    cfg, params, dataset = _load_for_checkpoint(args)
+    cfg, params, dataset, _ = _load_for_checkpoint(args)
     scored = metrics_mod.score_dataset(dataset, params, cfg)
     metrics_mod.write_metrics_report(args.out, scored)
     print(f"auc={metrics_mod.auc(scored):.4f} n={len(dataset)} -> {args.out}")
@@ -248,11 +260,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_attend(args) -> int:
-    cfg, params, dataset = _load_for_checkpoint(args)
+    cfg, params, dataset, reference = _load_for_checkpoint(args, args.reference)
     if cfg.variant == "lstm":
         raise ContractError(f"variant {cfg.variant!r} produces no attention maps")
     predicted_class = 1 if args.predicted_class == "on" else -1
-    reference = data_mod.load_relevance(args.reference) if args.reference else None
 
     # one forward and one backward pass per batch serve both maps
     sums = metrics_mod.ClassSums()
@@ -276,8 +287,7 @@ def cmd_attend(args) -> int:
         lines = ["mark,pearson_r"]
         for m in range(attention.alpha_mean.shape[0]):
             try:
-                r = repr(metrics_mod.interpretation_correlation(
-                    attention.alpha_mean[m], reference[m]))
+                r = repr(metrics_mod.pearson(attention.alpha_mean[m], reference[m]))
             except MetricUndefinedError:
                 r = "nan"
             lines.append(f"{m},{r}")

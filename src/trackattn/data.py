@@ -20,75 +20,89 @@ from __future__ import annotations
 import csv
 import io
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .errors import ContractError, IngestionError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_chunks, atomic_write_text
 
+
+# Input records: perfbench/inputs.py::write builds its datasets from them
+# through ``Dataset(samples, mark_names, n_bins)``, which packs them into
+# arrays once. Package code builds datasets with ``Dataset.from_arrays``.
 
 @dataclass
 class SignalMatrix:
-    """Non-negative (n_marks, n_bins) signal values for one gene region."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ContractError(f"signal matrix must be 2-D, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)) or (self.values < 0).any():
-            raise ContractError("signal values must be finite and non-negative")
+    values: np.ndarray                  # (n_marks, n_bins)
 
 
 @dataclass
 class GeneSample:
     gene_id: str
     x: SignalMatrix
-    label: int | None = None          # -1 / +1 once binarized
     expression_raw: float | None = None
 
-    def __post_init__(self):
-        if self.label is not None and self.label not in (-1, 1):
-            raise ContractError(f"label must be -1 or +1, got {self.label}")
 
-
-@dataclass
 class Dataset:
-    samples: list[GeneSample]
-    mark_names: list[str]
-    n_bins: int
+    """N genes as arrays: ``x`` (N, n_marks, n_bins) finite non-negative
+    signals, ``gene_ids`` (N unique names), ``mark_names``, raw
+    ``expression`` (N,) or None, and ``labels`` (N,) of -1/+1, None until
+    binarized. Datasets are not modified in place; the operations below
+    return new ones, which may share arrays with their input."""
 
-    def __post_init__(self):
-        ids = set()
-        for s in self.samples:
-            if s.gene_id in ids:
-                raise ContractError(f"duplicate gene_id {s.gene_id!r}")
-            ids.add(s.gene_id)
-            if s.x.values.shape != (len(self.mark_names), self.n_bins):
+    def __init__(self, samples: list[GeneSample], mark_names: list[str], n_bins: int):
+        x = np.zeros((len(samples), len(mark_names), n_bins))
+        for i, s in enumerate(samples):
+            if np.shape(s.x.values) != x.shape[1:]:
                 raise ContractError(
-                    f"gene {s.gene_id!r}: shape {s.x.values.shape} != "
-                    f"({len(self.mark_names)}, {self.n_bins})")
+                    f"gene {s.gene_id!r}: shape {np.shape(s.x.values)} != {x.shape[1:]}")
+            x[i] = s.x.values
+        expression = [s.expression_raw for s in samples]
+        self._init([s.gene_id for s in samples], x, mark_names,
+                   None if None in expression else expression, None)
+
+    @classmethod
+    def from_arrays(cls, gene_ids, x: np.ndarray, mark_names, expression=None,
+                    labels=None) -> "Dataset":
+        ds = cls.__new__(cls)
+        ds._init(gene_ids, x, mark_names, expression, labels)
+        return ds
+
+    def _init(self, gene_ids, x, mark_names, expression, labels) -> None:
+        self.gene_ids = list(gene_ids)
+        self.x = np.asarray(x, dtype=np.float64)
+        self.mark_names = list(mark_names)
+        if self.x.ndim != 3 or self.x.shape[:2] != (len(self.gene_ids), len(self.mark_names)):
+            raise ContractError(f"signals of shape {self.x.shape} do not match "
+                                f"{len(self.gene_ids)} genes by {len(self.mark_names)} marks")
+        if not np.isfinite(self.x).all() or (self.x < 0).any():
+            raise ContractError("signal values must be finite and non-negative")
+        seen = set()
+        for gene_id in self.gene_ids:
+            if gene_id in seen:
+                raise ContractError(f"duplicate gene_id {gene_id!r}")
+            seen.add(gene_id)
+        n = len(self.gene_ids)
+        self.expression = None if expression is None else np.asarray(expression, dtype=np.float64)
+        self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
+        for name, column in (("expression", self.expression), ("labels", self.labels)):
+            if column is not None and column.shape != (n,):
+                raise ContractError(f"{name} of shape {column.shape} does not match {n} genes")
+        if self.labels is not None and not np.isin(self.labels, (-1, 1)).all():
+            raise ContractError("labels must be -1 or +1")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.x.shape[0]
 
     @property
     def n_marks(self) -> int:
-        return len(self.mark_names)
+        return self.x.shape[1]
 
-    def signals(self) -> np.ndarray:
-        """Stack all samples into a (N, n_marks, n_bins) array."""
-        if not self.samples:
-            raise ContractError("dataset has no samples")
-        return np.stack([s.x.values for s in self.samples])
-
-    def labels(self) -> np.ndarray:
-        if any(s.label is None for s in self.samples):
-            raise ContractError("labels are unset; binarize first")
-        return np.array([s.label for s in self.samples], dtype=np.int64)
+    @property
+    def n_bins(self) -> int:
+        return self.x.shape[2]
 
 
 def load_dataset(path: str, n_bins: int, arcsinh: bool = False) -> Dataset:
@@ -267,9 +281,7 @@ class _GeneTable:
         self.blocks = []
         if arcsinh:
             np.arcsinh(values, out=values)
-        samples = [GeneSample(gene_id, SignalMatrix(x), expression_raw=e)
-                   for gene_id, x, e in zip(self.index, values, self.expr[:n].tolist())]
-        return Dataset(samples, mark_names, n_bins)
+        return Dataset.from_arrays(self.index, values, mark_names, self.expr[:n])
 
 
 def _grown(a: np.ndarray, size: int) -> np.ndarray:
@@ -318,24 +330,27 @@ def dataset_to_csv(dataset: Dataset) -> str:
     """The dataset in the file format that :func:`load_dataset` reads back
     bit for bit. Names are written unquoted, so a gene id or mark name
     holding a comma, a double quote or a line break raises ContractError."""
-    for name in [*dataset.mark_names, *(s.gene_id for s in dataset.samples)]:
+    return "".join(_csv_chunks(dataset))
+
+
+def _csv_chunks(dataset: Dataset):
+    """The text of :func:`dataset_to_csv`: the header, then one chunk per gene."""
+    for name in [*dataset.mark_names, *dataset.gene_ids]:
         if any(c in name for c in ',"\r\n'):
             raise ContractError(f"name {name!r} holds a comma, quote or line break, "
                                 "which the dataset format cannot write")
-    out = io.StringIO()
-    out.write("gene_id,bin," + ",".join(dataset.mark_names) + ",expression\n")
-    for s in dataset.samples:
-        if s.expression_raw is None:
-            raise ContractError(f"gene {s.gene_id!r} has no expression value to write")
-        expr = _fmt(s.expression_raw)
-        for b in range(dataset.n_bins):
-            cells = ",".join(_fmt(v) for v in s.x.values[:, b])
-            out.write(f"{s.gene_id},{b},{cells},{expr}\n")
-    return out.getvalue()
+    if dataset.expression is None:
+        raise ContractError("dataset has no expression values to write")
+    yield "gene_id,bin," + ",".join(dataset.mark_names) + ",expression\n"
+    for gene_id, expr, x in zip(dataset.gene_ids, dataset.expression.tolist(), dataset.x):
+        expr = _fmt(expr)
+        yield "".join(f"{gene_id},{b},{','.join(map(_fmt, cells))},{expr}\n"
+                      for b, cells in enumerate(x.T.tolist()))
 
 
 def save_dataset(path: str, dataset: Dataset) -> None:
-    atomic_write_text(path, dataset_to_csv(dataset))
+    # a gene at a time: the whole text is several times the size of ``x``
+    atomic_write_chunks(path, (chunk.encode("utf-8") for chunk in _csv_chunks(dataset)))
 
 
 def binarize_labels(dataset: Dataset) -> Dataset:
@@ -344,15 +359,12 @@ def binarize_labels(dataset: Dataset) -> Dataset:
     The median of an even count is the lower middle value, and values
     equal to the median get -1, so the rule is deterministic.
     """
-    exprs = []
-    for s in dataset.samples:
-        if s.expression_raw is None:
-            raise ContractError(f"gene {s.gene_id!r} has no expression value")
-        exprs.append(s.expression_raw)
-    median = sorted(exprs)[(len(exprs) - 1) // 2]
-    samples = [replace(s, label=(1 if s.expression_raw > median else -1))
-               for s in dataset.samples]
-    return Dataset(samples, dataset.mark_names, dataset.n_bins)
+    expression = dataset.expression
+    if expression is None:
+        raise ContractError("dataset has no expression values")
+    median = np.sort(expression)[(len(expression) - 1) // 2]
+    return Dataset.from_arrays(dataset.gene_ids, dataset.x, dataset.mark_names, expression,
+                               np.where(expression > median, 1, -1))
 
 
 def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
@@ -373,13 +385,16 @@ def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
         sizes[i % len(sizes)] += 1
 
     order = np.random.default_rng(seed).permutation(n)
-    parts = []
-    offset = 0
-    for size in sizes:
-        idx = order[offset:offset + size]
-        parts.append(Dataset([dataset.samples[i] for i in idx], dataset.mark_names, dataset.n_bins))
-        offset += size
-    return tuple(parts)
+    bounds = np.cumsum([0, *sizes])
+    return tuple(_take(dataset, order[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+
+def _take(dataset: Dataset, idx: np.ndarray) -> Dataset:
+    """The genes at rows ``idx``, in that order."""
+    def rows(column):
+        return None if column is None else column[idx]
+    return Dataset.from_arrays([dataset.gene_ids[i] for i in idx], dataset.x[idx],
+                               dataset.mark_names, rows(dataset.expression), rows(dataset.labels))
 
 
 @dataclass
@@ -431,19 +446,15 @@ def synth_generate(spec: SynthSpec) -> tuple[Dataset, np.ndarray]:
     expression = np.random.default_rng([spec.seed, 1]).random(spec.n_genes) + (labels == 1)
 
     width = max(5, len(str(spec.n_genes - 1)))
-    samples = [
-        GeneSample(f"g{i:0{width}d}", SignalMatrix(noise[i]),
-                   label=int(labels[i]), expression_raw=float(expression[i]))
-        for i in range(spec.n_genes)
-    ]
+    gene_ids = [f"g{i:0{width}d}" for i in range(spec.n_genes)]
     relevance = np.zeros((spec.n_marks, spec.n_bins))
     relevance[spec.informative_mark, lo:hi] = 1.0
     mark_names = [f"mark_{j}" for j in range(spec.n_marks)]
-    return Dataset(samples, mark_names, spec.n_bins), relevance
+    return Dataset.from_arrays(gene_ids, noise, mark_names, expression, labels), relevance
 
 
 def restrict_marks(dataset: Dataset, mark_indices) -> Dataset:
-    """Keep (and reorder to) the given mark rows of every sample."""
+    """Keep (and reorder to) the given mark rows of every gene."""
     idx = [int(i) for i in mark_indices]
     if not idx:
         raise ContractError("mark_indices must be non-empty")
@@ -451,8 +462,9 @@ def restrict_marks(dataset: Dataset, mark_indices) -> Dataset:
         raise ContractError(f"mark_indices contain duplicates: {idx}")
     if any(not 0 <= i < dataset.n_marks for i in idx):
         raise ContractError(f"mark index outside [0, {dataset.n_marks}): {idx}")
-    samples = [replace(s, x=SignalMatrix(s.x.values[idx])) for s in dataset.samples]
-    return Dataset(samples, [dataset.mark_names[i] for i in idx], dataset.n_bins)
+    return Dataset.from_arrays(dataset.gene_ids, dataset.x[:, idx],
+                               [dataset.mark_names[i] for i in idx], dataset.expression,
+                               dataset.labels)
 
 
 def map_to_csv(values: np.ndarray, column: str) -> str:
@@ -465,11 +477,13 @@ def map_to_csv(values: np.ndarray, column: str) -> str:
     return out.getvalue()
 
 
-def read_map_csv(path: str, column: str | None = None) -> np.ndarray:
+def read_map_csv(path: str, column: str | None = None,
+                 shape: tuple[int, int] | None = None) -> np.ndarray:
     """Read a ``mark,bin,<column>`` table (any value column when ``column``
     is None) into a dense (marks, bins) matrix; cells it leaves out read
-    as 0. A malformed row, a negative index, a repeated cell or a
-    non-finite value raises IngestionError citing its line."""
+    as 0. A malformed row, a negative index, a cell outside ``shape``
+    (when given), a repeated cell or a non-finite value raises
+    IngestionError citing its line, before the matrix is allocated."""
     cells: dict[tuple[int, int], float] = {}
     lines: dict[tuple[int, int], int] = {}
     with _csv_text(path) as fh:
@@ -491,6 +505,9 @@ def read_map_csv(path: str, column: str | None = None) -> np.ndarray:
                 raise IngestionError(f"negative mark or bin in {row!r}", line=lineno)
             if not np.isfinite(value):
                 raise IngestionError(f"non-finite {header[2]} {row[2]!r}", line=lineno)
+            if shape is not None and (m >= shape[0] or b >= shape[1]):
+                raise IngestionError(f"cell ({m}, {b}) outside the {shape[0]} marks by "
+                                     f"{shape[1]} bins of the dataset", line=lineno)
             if (m, b) in cells:
                 raise IngestionError(f"duplicate cell ({m}, {b}); first at line {lines[m, b]}",
                                      line=lineno)
@@ -507,6 +524,7 @@ def save_relevance(path: str, relevance: np.ndarray) -> None:
     atomic_write_text(path, map_to_csv(relevance, "relevance"))
 
 
-def load_relevance(path: str) -> np.ndarray:
-    """Read a mark,bin,relevance sidecar back into a dense matrix."""
-    return read_map_csv(path, "relevance")
+def load_relevance(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Read a mark,bin,relevance sidecar back into a dense matrix, no
+    larger than ``shape`` when given."""
+    return read_map_csv(path, "relevance", shape)

@@ -13,7 +13,13 @@ def _umask() -> int:
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write to a temp file in the target directory, then rename into place.
+    atomic_write_chunks(path, (payload,))
+
+
+def atomic_write_chunks(path: str, chunks) -> None:
+    """Write the byte chunks in turn to a temp file in the target
+    directory, then rename it into place. An exception raised while the
+    chunks are made leaves no file behind.
 
     The file gets the mode of a newly created file, 0o666 less the umask,
     not the private 0o600 of the temp file."""
@@ -21,7 +27,7 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
             os.fchmod(fh.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:

@@ -35,6 +35,8 @@ class ScoredSet:
     labels: np.ndarray
 
     def __post_init__(self):
+        if self.labels is None:
+            raise ContractError("labels are unset; binarize first")
         self.scores = np.asarray(self.scores, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.scores.shape != self.labels.shape or self.scores.ndim != 1:
@@ -99,12 +101,6 @@ def pearson(x, y) -> float:
     return float((dx @ dy) / np.sqrt(vx * vy))
 
 
-def interpretation_correlation(weights, reference) -> float:
-    """Pearson correlation between a per-bin importance profile and a
-    reference per-bin signal profile."""
-    return pearson(weights, reference)
-
-
 # ---------------------------------------------------------- model scoring
 
 
@@ -120,8 +116,7 @@ def predict_probs(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
 
 def score_dataset(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
                   batch_size: int = 256) -> ScoredSet:
-    return ScoredSet(predict_probs(dataset.signals(), params, cfg, batch_size),
-                     dataset.labels())
+    return ScoredSet(predict_probs(dataset.x, params, cfg, batch_size), dataset.labels)
 
 
 @dataclass
@@ -182,7 +177,7 @@ def _class_pass(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
     next batch runs."""
     if predicted_class not in (-1, 1):
         raise ContractError("predicted_class must be -1 or +1")
-    x = dataset.signals()
+    x = dataset.x
     for lo in range(0, x.shape[0], batch_size):
         _add_batch(x[lo:lo + batch_size], params, cfg, predicted_class, sums, saliency)
     if sums.count == 0:

@@ -108,27 +108,6 @@ class ModelConfig:
         return cls(**kwargs)
 
 
-@dataclass
-class AttentionProfile:
-    """Per-sample attention: alpha rows are probability vectors over bins
-    (one per mark; one joint row for lstm-attn), beta over marks."""
-
-    alpha: np.ndarray
-    beta: np.ndarray | None = None
-
-
-@dataclass
-class Prediction:
-    prob_high: float
-    prob_low: float
-    attention: AttentionProfile | None = None
-
-    @property
-    def label(self) -> int:
-        """Predicted class in {-1, +1}; exact ties resolve to -1."""
-        return 1 if self.prob_high > self.prob_low else -1
-
-
 def parameter_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """The (name, shape) of every fused block of cfg's model, in the order
     they occupy the flat parameter vector.
@@ -365,21 +344,6 @@ def extract_profiles(bf: BatchForward, cfg: ModelConfig) -> tuple[np.ndarray | N
         beta = np.empty_like(bf.betas)
         beta[list(cfg.order), :] = bf.betas
     return bf.alphas, beta
-
-
-def forward(x: np.ndarray, params: ParameterStore, cfg: ModelConfig) -> Prediction:
-    """Classify a single (M, T) matrix, returning class probabilities and
-    the attention profile when the variant produces one."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cfg.n_marks, cfg.n_bins):
-        raise DimensionError(f"input shape {x.shape} != ({cfg.n_marks}, {cfg.n_bins})")
-    bf = forward_batch(x[None, :, :], params, cfg, grad=False)
-    probs = logits_to_probs(bf.logits.data)[:, 0]
-    alpha, beta = extract_profiles(bf, cfg)
-    profile = None
-    if alpha is not None:
-        profile = AttentionProfile(alpha[:, :, 0], None if beta is None else beta[:, 0])
-    return Prediction(prob_high=float(probs[1]), prob_low=float(probs[0]), attention=profile)
 
 
 def labels_to_class_indices(labels) -> np.ndarray:

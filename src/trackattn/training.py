@@ -129,7 +129,8 @@ def _check_dataset(name: str, ds: Dataset, mcfg: ModelConfig) -> None:
         raise ContractError(
             f"{name} dataset shape ({ds.n_marks}, {ds.n_bins}) does not match "
             f"model ({mcfg.n_marks}, {mcfg.n_bins})")
-    ds.labels()
+    if ds.labels is None:
+        raise ContractError(f"{name} labels are unset; binarize first")
 
 
 def train(cfg: TrainConfig, mcfg: ModelConfig, train_ds: Dataset,
@@ -144,7 +145,7 @@ def train(cfg: TrainConfig, mcfg: ModelConfig, train_ds: Dataset,
     """
     _check_dataset("training", train_ds, mcfg)
     _check_dataset("validation", val_ds, mcfg)
-    val_labels = val_ds.labels()
+    val_labels = val_ds.labels
     if (val_labels == 1).sum() == 0 or (val_labels == -1).sum() == 0:
         raise ContractError("validation set needs both classes for AUC model selection")
 
@@ -152,9 +153,7 @@ def train(cfg: TrainConfig, mcfg: ModelConfig, train_ds: Dataset,
     state = init_optimizer_state(params.flat, cfg)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
 
-    x_train = train_ds.signals()
-    y_train = train_ds.labels()
-    x_val = val_ds.signals()
+    x_train, y_train = train_ds.x, train_ds.labels
     n = len(train_ds)
 
     history: list[EpochStats] = []
@@ -179,7 +178,7 @@ def train(cfg: TrainConfig, mcfg: ModelConfig, train_ds: Dataset,
             clip_gradients(grad, cfg.grad_clip_norm)
             optimizer_step(params.flat, grad, state, cfg)
 
-        val_probs = predict_probs(x_val, params, mcfg)
+        val_probs = predict_probs(val_ds.x, params, mcfg)
         val_auc = auc(ScoredSet(val_probs, val_labels))
         calls_on = int((val_probs > 0.5).sum())
         history.append(EpochStats(epoch, loss_total / n, val_auc, calls_on))

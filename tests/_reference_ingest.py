@@ -13,7 +13,7 @@ import csv
 
 import numpy as np
 
-from trackattn.data import Dataset, GeneSample, SignalMatrix
+from trackattn.data import Dataset
 from trackattn.errors import IngestionError
 
 
@@ -73,13 +73,13 @@ def _parse_dataset(fh, path: str, n_bins: int, arcsinh: bool) -> Dataset:
     if not per_gene:
         raise IngestionError(f"{path}: no samples")
 
-    samples = []
+    xs = []
     for gene_id, entry in per_gene.items():
         if len(entry["seen"]) != n_bins:
             missing = sorted(set(range(n_bins)) - set(entry["seen"]))
             raise IngestionError(
                 f"gene {gene_id!r} is missing bins {missing[:5]}"
                 f"{'...' if len(missing) > 5 else ''}", line=entry["first_line"])
-        values = np.arcsinh(entry["values"]) if arcsinh else entry["values"]
-        samples.append(GeneSample(gene_id, SignalMatrix(values), expression_raw=entry["expr"]))
-    return Dataset(samples, mark_names, n_bins)
+        xs.append(np.arcsinh(entry["values"]) if arcsinh else entry["values"])
+    return Dataset.from_arrays(list(per_gene), np.stack(xs), mark_names,
+                               [entry["expr"] for entry in per_gene.values()])

@@ -17,10 +17,10 @@ from _oracle import straight_line_forward
 from trackattn import autodiff as ad
 from trackattn.cli import main as cli_main
 from trackattn.data import Dataset, SynthSpec, restrict_marks, split, synth_generate
-from trackattn.metrics import (ScoredSet, auc, interpretation_correlation, mean_attention,
-                               mean_saliency, predict_probs)
-from trackattn.model import (ModelConfig, ParameterStore, extract_profiles, forward,
-                             forward_batch, init_params, nll_loss_batch)
+from trackattn.metrics import (ScoredSet, auc, mean_attention, mean_saliency, pearson,
+                               predict_probs)
+from trackattn.model import (ModelConfig, ParameterStore, extract_profiles, forward_batch,
+                             init_params, logits_to_probs, nll_loss_batch)
 from trackattn.training import TrainConfig, train
 
 TINY = ModelConfig(n_marks=3, n_bins=8, d=4, d_hm=3, variant="lstm-alpha-beta")
@@ -86,15 +86,15 @@ def test_criterion_01_gradient_correctness():
 
 def test_criterion_02_forward_oracle():
     params = init_params(TINY, seed=201)
-    rng = np.random.default_rng(202)
-    for _ in range(20):
-        x = rng.normal(size=(TINY.n_marks, TINY.n_bins))
-        pred = forward(x, params, TINY)
-        ref = straight_line_forward(x, params, TINY)
-        assert abs(pred.prob_low - ref["probs"][0]) < 1e-12
-        assert abs(pred.prob_high - ref["probs"][1]) < 1e-12
-        assert np.abs(pred.attention.alpha - ref["alpha"]).max() < 1e-12
-        assert np.abs(pred.attention.beta - ref["beta"]).max() < 1e-12
+    x = np.random.default_rng(202).normal(size=(20, TINY.n_marks, TINY.n_bins))
+    bf = forward_batch(x, params, TINY, grad=False)
+    probs = logits_to_probs(bf.logits.data)
+    alpha, beta = extract_profiles(bf, TINY)
+    for b in range(x.shape[0]):
+        ref = straight_line_forward(x[b], params, TINY)
+        assert np.abs(probs[:, b] - ref["probs"]).max() < 1e-12
+        assert np.abs(alpha[:, :, b] - ref["alpha"]).max() < 1e-12
+        assert np.abs(beta[:, b] - ref["beta"]).max() < 1e-12
     report(2, "forward oracle")
 
 
@@ -141,10 +141,7 @@ def test_criterion_04_auc_oracle_equivalence():
 
 
 def test_criterion_05_split_fidelity():
-    from trackattn.data import Dataset, GeneSample, SignalMatrix
-    samples = [GeneSample(f"g{i}", SignalMatrix(np.zeros((1, 1))), label=1)
-               for i in range(19802)]
-    ds = Dataset(samples, ["m"], 1)
+    ds = Dataset.from_arrays([f"g{i}" for i in range(19802)], np.zeros((19802, 1, 1)), ["m"])
     parts = split(ds, (1 / 3, 1 / 3, 1 / 3), seed=0)
     assert tuple(len(p) for p in parts) == (6601, 6601, 6600)
     report(5, "split fidelity")
@@ -156,12 +153,11 @@ def test_criterion_06_planted_signal_end_to_end(planted, trained):
     assert elapsed < 600.0, f"training took {elapsed:.0f}s"
     assert len(history.epochs) <= 20
 
-    test_auc = auc(ScoredSet(predict_probs(test_ds.signals(), params, FULL),
-                             test_ds.labels()))
+    test_auc = auc(ScoredSet(predict_probs(test_ds.x, params, FULL), test_ds.labels))
     assert test_auc >= 0.95, f"held-out AUC {test_auc:.4f}"
 
     attention = mean_attention(test_ds, params, FULL, predicted_class=1)
-    r = interpretation_correlation(attention.alpha_mean[0], relevance[0])
+    r = pearson(attention.alpha_mean[0], relevance[0])
     assert r >= 0.5, f"alpha-vs-relevance correlation {r:.4f}"
     assert int(np.argmax(attention.beta_mean)) == 0, f"beta argmax {np.argmax(attention.beta_mean)}"
     print(f"\n  held-out AUC {test_auc:.4f}, alpha correlation {r:.3f}, "
@@ -176,8 +172,7 @@ def test_criterion_07_null_control():
     dataset, _ = synth_generate(spec)
     train_ds, val_ds, test_ds = split(dataset, (1 / 3, 1 / 3, 1 / 3), seed=0)
     params, _ = train(TrainConfig(max_epochs=20, seed=0), FULL, train_ds, val_ds)
-    null_auc = auc(ScoredSet(predict_probs(test_ds.signals(), params, FULL),
-                             test_ds.labels()))
+    null_auc = auc(ScoredSet(predict_probs(test_ds.x, params, FULL), test_ds.labels))
     assert abs(null_auc - 0.5) <= 0.05, f"null AUC {null_auc:.4f}"
     print(f"\n  null held-out AUC {null_auc:.4f}")
     report(7, "null control")
@@ -186,11 +181,11 @@ def test_criterion_07_null_control():
 def test_criterion_08_saliency_check(planted, trained):
     _, _, _, _, test_ds = planted
     params, _, _ = trained
-    gene = test_ds.samples[0]
-    x = gene.x.values.copy()
-    sal = mean_saliency(Dataset([gene], test_ds.mark_names, test_ds.n_bins), params, FULL,
-                        forward(x, params, FULL).label)
+    x = test_ds.x[0].copy()
     k = int(np.argmax(forward_batch(x[None], params, FULL).logits.data[:, 0]))
+    gene = Dataset.from_arrays(test_ds.gene_ids[:1], x[None], test_ds.mark_names,
+                               labels=test_ds.labels[:1])
+    sal = mean_saliency(gene, params, FULL, predicted_class=2 * k - 1)
 
     def logit():
         return float(forward_batch(x[None], params, FULL).logits.data[k, 0])
@@ -243,8 +238,8 @@ def test_criterion_10_ablation_harness(planted):
         sub_train, sub_val, sub_test = (restrict_marks(d, [mark])
                                         for d in (train_ds, val_ds, test_ds))
         params, _ = train(TrainConfig(max_epochs=20, seed=0), sub_cfg, sub_train, sub_val)
-        results[mark] = auc(ScoredSet(predict_probs(sub_test.signals(), params, sub_cfg),
-                                      sub_test.labels()))
+        results[mark] = auc(ScoredSet(predict_probs(sub_test.x, params, sub_cfg),
+                                      sub_test.labels))
     assert results[0] >= 0.9, f"informative-mark-only AUC {results[0]:.4f}"
     assert results[1] <= 0.6, f"noise-mark-only AUC {results[1]:.4f}"
     print(f"\n  informative-only AUC {results[0]:.4f}, noise-only AUC {results[1]:.4f}")

@@ -85,7 +85,7 @@ def test_score_shift_by_negated_max_leaves_output_bit_identical():
 
 
 def test_gradients_match_finite_differences():
-    # the single-sample shape forward() runs: one sequence, one column
+    # one sequence, one column
     rng = np.random.default_rng(5)
     hd = rng.normal(size=(5, 1, 3, 1))
     cd = rng.normal(size=(1, 3))

@@ -62,7 +62,7 @@ def test_majority_positive_synth_trains_through_cli(tmp_path):
     assert run("synth", "--out", str(data), "--n-genes", "60", "--n-marks", "2",
                "--n-bins", "8", "--bins", "2:4", "--seed", "6") == 0
     ds = load_dataset(str(data / "dataset.csv"), n_bins=8)
-    assert sum(s.expression_raw >= 1.0 for s in ds.samples) == 32
+    assert (ds.expression >= 1.0).sum() == 32
     config = tmp_path / "train.cfg"
     config.write_text(f"dataset = {data}/dataset.csv\nout_dir = {tmp_path}/run\n"
                       "n_bins = 8\nd = 4\nd_hm = 2\nmax_epochs = 1\n")
@@ -254,6 +254,12 @@ BAD_SIDECARS = {
     "negative_mark_among_good_rows": ("{good}-1,0,1.0\n", 62),
     "duplicate_cell": ("{good}0,3,0.5\n", 62),
     "nan_relevance": ("{good}2,20,nan\n", 62),
+    # cells past the dataset's 3 marks or the model's 20 bins are refused
+    # before the map is allocated
+    "huge_mark": ("{good}1000000000000,0,1.0\n", 62),
+    "huge_bin": ("{good}0,1000000000000,1.0\n", 62),
+    "mark_past_dataset": ("{good}3,0,1.0\n", 62),
+    "bin_past_model": ("{good}0,20,1.0\n", 62),
 }
 
 
@@ -270,6 +276,45 @@ def test_attend_rejects_malformed_reference(ws, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "Traceback" not in err
     assert f"line {line}:" in err if line else "does not cover attention" in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def marks_run(tmp_path_factory):
+    """lstm-alpha trained on marks 1,0 of a dataset planted in mark 0."""
+    root = tmp_path_factory.mktemp("marks")
+    assert run("synth", "--out", str(root / "data"), "--n-genes", "120", "--n-marks", "3",
+               "--n-bins", "12", "--bins", "4:7", "--seed", "1") == 0
+    config = root / "train.cfg"
+    config.write_text(f"dataset = {root}/data/dataset.csv\nout_dir = {root}/run\n"
+                      "n_bins = 12\nvariant = lstm-alpha\nmarks = 1,0\nd = 4\nmax_epochs = 2\n")
+    assert run("train", "--config", str(config)) == 0
+    return root
+
+
+def test_attend_marks_correlates_each_row_with_its_own_mark(marks_run, tmp_path):
+    from trackattn.metrics import pearson
+
+    out = tmp_path / "maps"
+    relevance = str(marks_run / "data" / "relevance.csv")
+    assert run("attend", "--checkpoint", str(marks_run / "run" / "checkpoint.ckpt"),
+               "--dataset", str(marks_run / "data" / "dataset.csv"), "--marks", "1,0",
+               "--class", "off", "--out", str(out), "--reference", relevance) == 0
+    alpha = read_map_csv(str(out / "alpha.csv"))
+    planted = load_relevance(relevance)[0]
+    # row 0 is mark 1, flat in the reference; row 1 is mark 0, the planted one
+    assert (out / "correlation.csv").read_text() == (
+        f"mark,pearson_r\n0,nan\n1,{pearson(alpha[1], planted)!r}\n")
+
+
+def test_attend_marks_needs_reference_rows_for_every_kept_mark(marks_run, tmp_path, capsys):
+    sidecar = tmp_path / "rel.csv"
+    sidecar.write_text("mark,bin,relevance\n" + "".join(f"0,{b},1.0\n" for b in range(12)))
+    out = tmp_path / "maps"
+    assert run("attend", "--checkpoint", str(marks_run / "run" / "checkpoint.ckpt"),
+               "--dataset", str(marks_run / "data" / "dataset.csv"), "--marks", "1,0",
+               "--class", "off", "--out", str(out), "--reference", str(sidecar)) == 3
+    assert "no row for mark 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -308,7 +353,7 @@ def test_attend_one_pass_matches_two_pass_maps(ws, tmp_path, monkeypatch):
     lines = ["mark,pearson_r"]
     for m, ref in enumerate(load_relevance(relevance)):
         try:
-            lines.append(f"{m},{metrics.interpretation_correlation(attention.alpha_mean[m], ref)!r}")
+            lines.append(f"{m},{metrics.pearson(attention.alpha_mean[m], ref)!r}")
         except MetricUndefinedError:
             lines.append(f"{m},nan")
     expected = {

@@ -1,4 +1,4 @@
-import struct
+import hashlib
 from unittest import mock
 
 import _reference_ingest as reference_ingest
@@ -34,17 +34,16 @@ def test_load_places_values_by_mark_row_and_bin_column(tmp_path):
     ds = load_dataset(write(tmp_path, FIXTURE), n_bins=3)
     assert ds.mark_names == ["h_one", "h_two"]
     assert len(ds) == 2
-    ga, gb = ds.samples
-    assert ga.gene_id == "gA" and gb.gene_id == "gB"
-    np.testing.assert_array_equal(ga.x.values, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    np.testing.assert_array_equal(gb.x.values, [[0.5, 0.75, 0.125], [0.25, 1.5, 0.0]])
-    assert ga.expression_raw == 7.5 and gb.expression_raw == 2.0
-    assert ga.label is None and gb.label is None
+    assert ds.gene_ids == ["gA", "gB"]
+    np.testing.assert_array_equal(ds.x, [[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+                                         [[0.5, 0.75, 0.125], [0.25, 1.5, 0.0]]])
+    np.testing.assert_array_equal(ds.expression, [7.5, 2.0])
+    assert ds.labels is None
 
 
 def test_load_arcsinh_flag(tmp_path):
     ds = load_dataset(write(tmp_path, FIXTURE), n_bins=3, arcsinh=True)
-    np.testing.assert_allclose(ds.samples[0].x.values[0], np.arcsinh([1.0, 2.0, 3.0]))
+    np.testing.assert_allclose(ds.x[0, 0], np.arcsinh([1.0, 2.0, 3.0]))
 
 
 @pytest.mark.parametrize("mutation,expected_line,fragment", [
@@ -97,37 +96,37 @@ def test_round_trip_is_lossless(tmp_path):
     save_dataset(path, ds)
     back = load_dataset(path, n_bins=11)
     assert back.mark_names == ds.mark_names
-    for a, b in zip(ds.samples, back.samples):
-        assert a.gene_id == b.gene_id
-        assert np.array_equal(a.x.values, b.x.values)
-        assert a.expression_raw == b.expression_raw
+    assert back.gene_ids == ds.gene_ids
+    assert np.array_equal(back.x, ds.x)
+    assert np.array_equal(back.expression, ds.expression)
     assert dataset_to_csv(back) == dataset_to_csv(ds)
 
 
 def make_expr_dataset(exprs):
-    samples = [GeneSample(f"g{i}", SignalMatrix(np.zeros((1, 2))), expression_raw=float(e))
-               for i, e in enumerate(exprs)]
-    return Dataset(samples, ["m"], 2)
+    n = len(exprs)
+    return Dataset.from_arrays([f"g{i}" for i in range(n)], np.zeros((n, 1, 2)), ["m"], exprs)
 
 
 def test_binarize_odd_count():
     ds = binarize_labels(make_expr_dataset([1, 2, 3, 4, 5]))
-    assert [s.label for s in ds.samples] == [-1, -1, -1, 1, 1]
+    assert ds.labels.tolist() == [-1, -1, -1, 1, 1]
 
 
 def test_binarize_all_equal():
     ds = binarize_labels(make_expr_dataset([4, 4, 4]))
-    assert [s.label for s in ds.samples] == [-1, -1, -1]
+    assert ds.labels.tolist() == [-1, -1, -1]
 
 
 def test_binarize_even_count_uses_lower_middle():
     ds = binarize_labels(make_expr_dataset([10, 20]))
-    assert [s.label for s in ds.samples] == [-1, 1]
+    assert ds.labels.tolist() == [-1, 1]
 
 
 def test_binarize_requires_expression():
-    ds = make_expr_dataset([1, 2])
-    ds.samples[1].expression_raw = None
+    # one record without expression leaves the packed dataset without any
+    ds = Dataset([GeneSample("g0", SignalMatrix(np.zeros((1, 2))), expression_raw=1.0),
+                  GeneSample("g1", SignalMatrix(np.zeros((1, 2))))], ["m"], 2)
+    assert ds.expression is None
     with pytest.raises(ContractError):
         binarize_labels(ds)
 
@@ -136,14 +135,13 @@ def test_binarize_requires_expression():
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=2, max_size=60, unique=True))
 def test_binarize_balance_with_distinct_expressions(exprs):
     ds = binarize_labels(make_expr_dataset(exprs))
-    labels = [s.label for s in ds.samples]
+    labels = ds.labels.tolist()
     assert abs(labels.count(1) - labels.count(-1)) <= 1
 
 
 def dummy_dataset(n):
-    samples = [GeneSample(f"g{i}", SignalMatrix(np.zeros((1, 1))), label=1, expression_raw=0.0)
-               for i in range(n)]
-    return Dataset(samples, ["m"], 1)
+    return Dataset.from_arrays([f"g{i}" for i in range(n)], np.zeros((n, 1, 1)), ["m"],
+                               np.zeros(n), np.ones(n))
 
 
 def test_split_matches_published_sizes():
@@ -155,7 +153,7 @@ def test_split_matches_published_sizes():
 @given(st.integers(min_value=3, max_value=400), st.integers(min_value=0, max_value=2**32 - 1))
 def test_split_partitions_cover_and_are_disjoint(n, seed):
     parts = split(dummy_dataset(n), (0.5, 0.25, 0.25), seed=seed)
-    ids = [s.gene_id for p in parts for s in p.samples]
+    ids = [g for p in parts for g in p.gene_ids]
     assert len(ids) == n
     assert len(set(ids)) == n
 
@@ -164,9 +162,9 @@ def test_split_is_deterministic():
     ds = dummy_dataset(50)
     a = split(ds, (0.6, 0.4), seed=9)
     b = split(ds, (0.6, 0.4), seed=9)
-    assert [[s.gene_id for s in p.samples] for p in a] == [[s.gene_id for s in p.samples] for p in b]
+    assert [p.gene_ids for p in a] == [p.gene_ids for p in b]
     c = split(ds, (0.6, 0.4), seed=10)
-    assert [[s.gene_id for s in p.samples] for p in a] != [[s.gene_id for s in p.samples] for p in c]
+    assert [p.gene_ids for p in a] != [p.gene_ids for p in c]
 
 
 def test_split_validates_fractions():
@@ -181,17 +179,15 @@ def test_synth_is_deterministic():
     a, rel_a = synth_generate(spec)
     b, rel_b = synth_generate(spec)
     assert np.array_equal(rel_a, rel_b)
-    for sa, sb in zip(a.samples, b.samples):
-        assert sa.gene_id == sb.gene_id and sa.label == sb.label
-        assert np.array_equal(sa.x.values, sb.x.values)
+    assert a.gene_ids == b.gene_ids and np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.x, b.x)
 
 
 def test_synth_effect_raises_window_mean_by_effect():
     spec = SynthSpec(n_genes=2000, n_marks=5, n_bins=100, informative_mark=0,
                      informative_lo=45, informative_hi=55, effect=3.0, noise_scale=1.0, seed=7)
     ds, rel = synth_generate(spec)
-    x = ds.signals()
-    y = ds.labels()
+    x, y = ds.x, ds.labels
     window = x[:, 0, 45:56].mean(axis=1)
     gap = window[y == 1].mean() - window[y == -1].mean()
     assert gap == pytest.approx(3.0, abs=0.1)
@@ -200,7 +196,7 @@ def test_synth_effect_raises_window_mean_by_effect():
 
 def test_synth_null_effect_is_label_independent():
     ds, _ = synth_generate(SynthSpec(n_genes=2000, effect=0.0, seed=8))
-    x, y = ds.signals(), ds.labels()
+    x, y = ds.x, ds.labels
     window = x[:, 0, 45:56].mean(axis=1)
     assert abs(window[y == 1].mean() - window[y == -1].mean()) < 0.1
 
@@ -215,7 +211,7 @@ def test_synth_window_mean_is_highly_predictive():
     # a monotone model over the window mean (equivalent in AUC terms to a
     # fitted logistic regression on that single feature) must separate well
     ds, _ = synth_generate(SynthSpec(n_genes=2000, effect=3.0, seed=9))
-    x, y = ds.signals(), ds.labels()
+    x, y = ds.x, ds.labels
     scores = x[:, 0, 45:56].mean(axis=1)
     pos = scores[y == 1][:, None]
     neg = scores[y == -1][None, :]
@@ -237,15 +233,15 @@ def test_restrict_marks():
                                      informative_hi=2, seed=1))
     same = restrict_marks(ds, range(5))
     assert same.mark_names == ds.mark_names
-    np.testing.assert_array_equal(same.signals(), ds.signals())
+    np.testing.assert_array_equal(same.x, ds.x)
 
     one = restrict_marks(ds, [3])
     assert one.n_marks == 1 and one.mark_names == ["mark_3"]
-    np.testing.assert_array_equal(one.signals()[:, 0], ds.signals()[:, 3])
+    np.testing.assert_array_equal(one.x[:, 0], ds.x[:, 3])
 
     swapped = restrict_marks(ds, (2, 0))
     assert swapped.mark_names == ["mark_2", "mark_0"]
-    np.testing.assert_array_equal(swapped.signals()[:, 1], ds.signals()[:, 0])
+    np.testing.assert_array_equal(swapped.x[:, 1], ds.x[:, 0])
 
     with pytest.raises(ContractError):
         restrict_marks(ds, [])
@@ -256,19 +252,24 @@ def test_restrict_marks():
 
 
 def test_gene_sample_label_contract():
+    # signals are checked as input records are packed into arrays
+    for values in ([[-0.5]], [[np.nan]]):
+        with pytest.raises(ContractError):
+            Dataset([GeneSample("g", SignalMatrix(np.array(values)))], ["m"], 1)
+    assert Dataset.from_arrays(["g"], np.zeros((1, 1, 1)), ["m"], labels=[1]).labels == [1]
     with pytest.raises(ContractError):
-        GeneSample("g", SignalMatrix(np.zeros((1, 1))), label=2)
+        Dataset.from_arrays(["g"], np.zeros((1, 1, 1)), ["m"], labels=[2])
     with pytest.raises(ContractError):
-        SignalMatrix(np.array([[-0.5]]))
-    with pytest.raises(ContractError):
-        SignalMatrix(np.array([[np.nan]]))
+        Dataset.from_arrays(["g"], np.full((1, 1, 1), np.inf), ["m"])
 
 
 def test_dataset_rejects_duplicate_gene_ids():
     sample = GeneSample("gX", SignalMatrix(np.zeros((1, 2))), expression_raw=0.0)
     clone = GeneSample("gX", SignalMatrix(np.ones((1, 2))), expression_raw=1.0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="duplicate gene_id 'gX'"):
         Dataset([sample, clone], ["m"], 2)
+    with pytest.raises(ContractError, match="duplicate gene_id 'gX'"):
+        Dataset.from_arrays(["gY", "gX", "gX"], np.zeros((3, 1, 2)), ["m"])
 
 
 def test_dataset_rejects_inconsistent_shapes():
@@ -276,6 +277,12 @@ def test_dataset_rejects_inconsistent_shapes():
     bad = GeneSample("g2", SignalMatrix(np.zeros((2, 4))), expression_raw=0.0)
     with pytest.raises(ContractError):
         Dataset([good, bad], ["a", "b"], 3)
+    for ids, x, marks, expression in ((["g1"], np.zeros((1, 2, 3)), ["a"], None),
+                                      (["g1", "g2"], np.zeros((1, 2, 3)), ["a", "b"], None),
+                                      (["g1"], np.zeros((2, 3)), ["a", "b"], None),
+                                      (["g1"], np.zeros((1, 2, 3)), ["a", "b"], [1.0, 2.0])):
+        with pytest.raises(ContractError):
+            Dataset.from_arrays(ids, x, marks, expression)
 
 
 def test_relevance_round_trip(tmp_path):
@@ -296,9 +303,8 @@ def _outcome(load, path, n_bins, arcsinh=False):
         ds = load(path, n_bins, arcsinh)
     except IngestionError as err:
         return "error", str(err), err.line
-    return ("ok", ds.mark_names, ds.n_bins,
-            [(s.gene_id, s.label, s.x.values.dtype, s.x.values.shape, s.x.values.tobytes(),
-              struct.pack("<d", s.expression_raw)) for s in ds.samples])
+    return ("ok", ds.mark_names, ds.gene_ids, ds.labels, ds.x.dtype, ds.x.shape,
+            ds.x.tobytes(), ds.expression.astype("<f8").tobytes())
 
 
 def assert_same_ingest(path, n_bins, arcsinh=False):
@@ -460,13 +466,16 @@ def test_readers_turn_undecodable_bytes_and_oversized_fields_into_ingestion_erro
 # -------------------------------------------------------- writer round trip
 
 @pytest.mark.parametrize("bad", [",", '"', "\r", "\n"])
-def test_writer_rejects_names_it_cannot_write(bad):
+def test_writer_rejects_names_it_cannot_write(tmp_path, bad):
     ds, _ = synth_generate(SynthSpec(n_genes=3, n_marks=2, n_bins=4, informative_lo=1,
                                      informative_hi=2, seed=1))
-    ds.samples[1].gene_id = f"g{bad}1"
+    ds.gene_ids[1] = f"g{bad}1"
     with pytest.raises(ContractError, match="comma, quote or line break"):
         dataset_to_csv(ds)
-    ds.samples[1].gene_id = "g1"
+    with pytest.raises(ContractError, match="comma, quote or line break"):
+        save_dataset(str(tmp_path / "out.csv"), ds)
+    assert list(tmp_path.iterdir()) == []
+    ds.gene_ids[1] = "g1"
     ds.mark_names[0] = f"m{bad}"
     with pytest.raises(ContractError, match="comma, quote or line break"):
         dataset_to_csv(ds)
@@ -477,13 +486,13 @@ def test_writer_rejects_names_it_cannot_write(bad):
                 min_size=1, max_size=4, unique=True),
        st.text(st.characters(codec="utf-8", exclude_characters=',"\r\n'), max_size=6))
 def test_writer_names_round_trip(fuzz_dir, gene_ids, mark_name):
-    samples = [GeneSample(g, SignalMatrix(np.full((1, 2), i + 0.5)), expression_raw=float(i))
-               for i, g in enumerate(gene_ids)]
-    ds = Dataset(samples, [mark_name], 2)
+    n = len(gene_ids)
+    x = np.repeat(np.arange(n) + 0.5, 2).reshape(n, 1, 2)
+    ds = Dataset.from_arrays(gene_ids, x, [mark_name], np.arange(n, dtype=np.float64))
     path = str(fuzz_dir / "names.csv")
     save_dataset(path, ds)
     back = load_dataset(path, n_bins=2)
-    assert [s.gene_id for s in back.samples] == gene_ids and back.mark_names == [mark_name]
+    assert back.gene_ids == gene_ids and back.mark_names == [mark_name]
     assert dataset_to_csv(back) == dataset_to_csv(ds)
 
 
@@ -513,3 +522,52 @@ def test_map_reader_checks_header_and_leaves_unnamed_cells_zero(tmp_path):
         load_relevance(path)
     with pytest.raises(IngestionError, match="line 1"):
         read_map_csv(write(tmp_path, "mark,value\n0,1\n", "bad.csv"))
+
+
+# ------------------------------------------- data-layer bytes, pinned by digest
+
+def _digest(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode("utf-8")).hexdigest()
+
+
+def _pinned_dataset():
+    return synth_generate(SynthSpec(n_genes=37, n_marks=3, n_bins=7, informative_mark=1,
+                                    informative_lo=2, informative_hi=4, seed=3))[0]
+
+
+# Recorded from the per-gene-object data layer; the array layer must
+# reproduce every byte.
+CSV_DIGEST = "ec88db457ce382d9f749736c8aa79ad5cb32fe46095a358fdc54090f68e46451"
+RESTRICTED_DIGEST = "232b0941349cdf0ae2b5a5cb16b60a4e32b5fcd490382f2f12d137ea97481783"
+SPLIT_DIGESTS = [
+    ((1 / 3, 1 / 3, 1 / 3), ["28937156101bc68f83d0dce47b3158b87403bbabe1b278f174bb1dd3561fb08f",
+                             "769d72932fc08d93160aef8764eeeb94cb6bf02a64b5431ee6527186c2af7191",
+                             "32fa9a076a1b5fe9bf3de7bd9e167bde4b205fc3570fb3318811e929f91ea20a"]),
+    ((0.5, 0.3, 0.2), ["4ceb4e01ad66d83b67816cfff87e4915cf3fc78a485d9fb48562ea1fb962618c",
+                       "f92b926222b7b72beba7dd23742eb22027aee386a5ad5a8a1113066f9477eb30",
+                       "1c21d96533653e7a07a77a140424db642a9b7e25dafdbedef720525336cf85bd"]),
+]
+LABEL_DIGESTS = [(11, "6d923cc236e4f33b29247b75c0deab894fc3895803bbb96afa9a06c429052e59"),
+                 (12, "a8eaa330a697ceb6df46514416d19ea5b86d82f9a62bda44f46a83694339da1a")]
+
+
+def test_dataset_csv_bytes_match_recorded_digest():
+    assert _digest(dataset_to_csv(_pinned_dataset())) == CSV_DIGEST
+
+
+def test_restrict_marks_bytes_match_recorded_digest():
+    assert _digest(dataset_to_csv(restrict_marks(_pinned_dataset(), [2, 0]))) == RESTRICTED_DIGEST
+
+
+@pytest.mark.parametrize("fractions,digests", SPLIT_DIGESTS)
+def test_split_gene_ids_match_recorded_digests(fractions, digests):
+    parts = split(_pinned_dataset(), fractions, seed=4)
+    assert [_digest("\n".join(p.gene_ids)) for p in parts] == digests
+
+
+@pytest.mark.parametrize("n,digest", LABEL_DIGESTS)
+def test_binarized_labels_match_recorded_digest(tmp_path, n, digest):
+    # expression values repeat, so the median itself is tied
+    rows = "".join(f"g{i},0,0.0,{(7 * i) % 5}.5\n" for i in range(n))
+    ds = binarize_labels(load_dataset(write(tmp_path, "gene_id,bin,m,expression\n" + rows), 1))
+    assert _digest(ds.labels.astype("<i8").tobytes()) == digest

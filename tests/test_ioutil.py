@@ -3,7 +3,7 @@ import stat
 
 import pytest
 
-from trackattn.ioutil import atomic_write_bytes, atomic_write_text
+from trackattn.ioutil import atomic_write_bytes, atomic_write_chunks, atomic_write_text
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
@@ -21,3 +21,13 @@ def test_atomic_writes_get_the_umask_mode(tmp_path, umask, mode):
     assert stat.S_IMODE(os.stat(existing).st_mode) == mode
     assert existing.read_bytes() == b"new"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.bin", "new.txt"]
+
+
+def test_chunked_write_that_fails_midway_leaves_no_file(tmp_path):
+    def chunks():
+        yield b"gene_id,bin\n"
+        raise ValueError("cannot make the next chunk")
+
+    with pytest.raises(ValueError):
+        atomic_write_chunks(str(tmp_path / "out.csv"), chunks())
+    assert list(tmp_path.iterdir()) == []

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gradcheck import finite_diff_entries
-from trackattn.data import Dataset, GeneSample, SignalMatrix
+from trackattn.data import Dataset, read_map_csv
 from trackattn.errors import ContractError, MetricUndefinedError
-from trackattn.data import read_map_csv
-from trackattn.metrics import (ScoredSet, auc, beta_to_csv, f1,
-                               interpretation_correlation, map_to_csv, mean_attention,
+from trackattn.metrics import (ScoredSet, auc, beta_to_csv, f1, map_to_csv, mean_attention,
                                mean_saliency, metrics_report_text, pearson, predict_probs,
                                score_dataset, write_map_csv, write_metrics_report)
-from trackattn.model import ModelConfig, ParameterStore, forward, forward_batch, init_params
+from trackattn.model import (ModelConfig, ParameterStore, extract_profiles, forward_batch,
+                             init_params, logits_to_probs)
 
 # ---------------------------------------------------------------------- auc
 
@@ -92,6 +91,8 @@ def test_scored_set_validation():
         ScoredSet([0.5], [2])
     with pytest.raises(ContractError):
         ScoredSet([0.5, 0.5], [1])
+    with pytest.raises(ContractError, match="binarize first"):
+        ScoredSet([0.5], None)  # the labels of a dataset not yet binarized
 
 
 # ----------------------------------------------------------------------- f1
@@ -144,13 +145,6 @@ def test_pearson_affine_invariance(seed, scale, shift):
     assert pearson(-scale * x, y) == pytest.approx(-base, abs=1e-10)
 
 
-def test_interpretation_correlation():
-    ref = np.array([0.0, 1.0, 1.0, 0.0, 0.0])
-    assert interpretation_correlation(3.0 * ref, ref) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(MetricUndefinedError):
-        interpretation_correlation(np.full(5, 0.2), ref)
-
-
 # ----------------------------------------------------- attention & saliency
 
 
@@ -161,26 +155,36 @@ def tiny_model(variant="lstm-alpha-beta", seed=0):
 
 def tiny_dataset(n, cfg, seed=0):
     rng = np.random.default_rng(seed)
-    samples = [GeneSample(f"g{i}", SignalMatrix(np.abs(rng.normal(size=(cfg.n_marks, cfg.n_bins)))),
-                          label=1 if rng.random() < 0.5 else -1, expression_raw=0.0)
-               for i in range(n)]
-    return Dataset(samples, [f"m{j}" for j in range(cfg.n_marks)], cfg.n_bins)
+    x = np.abs(rng.normal(size=(n, cfg.n_marks, cfg.n_bins)))
+    return Dataset.from_arrays([f"g{i}" for i in range(n)], x,
+                               [f"m{j}" for j in range(cfg.n_marks)], np.zeros(n),
+                               np.where(rng.random(n) < 0.5, 1, -1))
+
+
+def rows(ds, sl):
+    return Dataset.from_arrays(ds.gene_ids[sl], ds.x[sl], ds.mark_names, labels=ds.labels[sl])
+
+
+def predicted_labels(x, params, cfg):
+    """Each gene's argmax class; exact ties go to -1, as in mean_attention."""
+    probs = logits_to_probs(forward_batch(x, params, cfg, grad=False).logits.data)
+    return np.where(probs[1] > probs[0], 1, -1)
 
 
 def test_mean_attention_single_sample_equals_profile():
     cfg, params = tiny_model()
     ds = tiny_dataset(1, cfg, seed=3)
-    pred = forward(ds.samples[0].x.values, params, cfg)
-    m = mean_attention(ds, params, cfg, pred.label)
-    np.testing.assert_allclose(m.alpha_mean, pred.attention.alpha, atol=1e-15)
-    np.testing.assert_allclose(m.beta_mean, pred.attention.beta, atol=1e-15)
+    alpha, beta = extract_profiles(forward_batch(ds.x, params, cfg, grad=False), cfg)
+    m = mean_attention(ds, params, cfg, predicted_labels(ds.x, params, cfg)[0])
+    np.testing.assert_allclose(m.alpha_mean, alpha[:, :, 0], atol=1e-15)
+    np.testing.assert_allclose(m.beta_mean, beta[:, 0], atol=1e-15)
     assert m.n_samples == 1
 
 
 def test_mean_attention_rows_stay_stochastic():
     cfg, params = tiny_model(seed=4)
     ds = tiny_dataset(12, cfg, seed=5)
-    preds = [forward(s.x.values, params, cfg).label for s in ds.samples]
+    preds = predicted_labels(ds.x, params, cfg).tolist()
     klass = 1 if preds.count(1) else -1
     m = mean_attention(ds, params, cfg, klass)
     np.testing.assert_allclose(m.alpha_mean.sum(axis=1), 1.0, atol=1e-6)
@@ -190,14 +194,13 @@ def test_mean_attention_rows_stay_stochastic():
 def test_mean_attention_partition_mixture():
     cfg, params = tiny_model(seed=6)
     ds = tiny_dataset(10, cfg, seed=7)
-    preds = [forward(s.x.values, params, cfg).label for s in ds.samples]
+    preds = predicted_labels(ds.x, params, cfg).tolist()
     klass = 1 if preds.count(1) >= preds.count(-1) else -1
     qualifying = [i for i, p in enumerate(preds) if p == klass]
     assert len(qualifying) >= 2
     cut = qualifying[len(qualifying) // 2]
 
-    part_a = Dataset(ds.samples[:cut + 1], ds.mark_names, ds.n_bins)
-    part_b = Dataset(ds.samples[cut + 1:], ds.mark_names, ds.n_bins)
+    part_a, part_b = rows(ds, slice(None, cut + 1)), rows(ds, slice(cut + 1, None))
     full = mean_attention(ds, params, cfg, klass)
     ma = mean_attention(part_a, params, cfg, klass)
     mb = mean_attention(part_b, params, cfg, klass)
@@ -224,9 +227,8 @@ def test_mean_attention_rejects_variant_without_attention():
 def one_gene_saliency(x, params, cfg):
     """Saliency of one (M, T) sample: mean_saliency over a one-gene dataset
     averaged over the class the model predicts for it."""
-    ds = Dataset([GeneSample("g0", SignalMatrix(x), label=1, expression_raw=0.0)],
-                 [f"m{j}" for j in range(cfg.n_marks)], cfg.n_bins)
-    return mean_saliency(ds, params, cfg, forward(x, params, cfg).label)
+    ds = Dataset.from_arrays(["g0"], x[None], [f"m{j}" for j in range(cfg.n_marks)], labels=[1])
+    return mean_saliency(ds, params, cfg, predicted_labels(ds.x, params, cfg)[0])
 
 
 def test_saliency_nonnegative_and_zero_for_zero_model():
@@ -260,11 +262,10 @@ def test_saliency_matches_logit_finite_differences(variant):
 def test_predict_probs_batches_consistently():
     cfg, params = tiny_model(seed=15)
     ds = tiny_dataset(9, cfg, seed=16)
-    x = ds.signals()
-    probs_small = predict_probs(x, params, cfg, batch_size=2)
-    probs_big = predict_probs(x, params, cfg, batch_size=64)
+    probs_small = predict_probs(ds.x, params, cfg, batch_size=2)
+    probs_big = predict_probs(ds.x, params, cfg, batch_size=64)
     np.testing.assert_allclose(probs_small, probs_big, atol=1e-12)
-    singles = np.array([forward(s.x.values, params, cfg).prob_high for s in ds.samples])
+    singles = predict_probs(ds.x, params, cfg, batch_size=1)
     np.testing.assert_allclose(probs_big, singles, atol=1e-12)
 
 

@@ -14,7 +14,7 @@ from trackattn.autodiff import Tensor
 from trackattn.errors import ContractError, DimensionError, IngestionError
 from trackattn.lstm import bilstm_encode_steps
 from trackattn.model import (ModelConfig, ParameterStore, collect_input_gradients,
-                             extract_profiles, forward, forward_batch, init_params,
+                             extract_profiles, forward_batch, init_params,
                              _attend_steps, labels_to_class_indices,
                              load_checkpoint, logits_to_probs, nll_loss_batch,
                              save_checkpoint)
@@ -36,6 +36,13 @@ def flat_positions(params):
     return {name: view.reshape(-1).astype(np.intp) for name, view in index.named_blocks()}
 
 
+def score(x, params, cfg):
+    """Class probabilities (2, B), alpha (rows, T, B) and beta (M, B) of a
+    tape-free pass over a (B, M, T) stack."""
+    bf = forward_batch(x, params, cfg, grad=False)
+    return (logits_to_probs(bf.logits.data), *extract_profiles(bf, cfg))
+
+
 def named_gradients(bf, params):
     """Per checkpoint name, the view of the flat gradient after a backward pass."""
     return dict(ParameterStore(params.layout, bf.flat_gradient()).named_blocks())
@@ -45,50 +52,26 @@ def named_gradients(bf, params):
 def test_zero_parameters_give_uninformative_prediction(variant):
     cfg = tiny_cfg(variant)
     params = zeroed(init_params(cfg, seed=0))
-    x = np.abs(np.random.default_rng(1).normal(size=(cfg.n_marks, cfg.n_bins)))
-    pred = forward(x, params, cfg)
-    assert pred.prob_high == 0.5 and pred.prob_low == 0.5
+    x = np.abs(np.random.default_rng(1).normal(size=(3, cfg.n_marks, cfg.n_bins)))
+    probs, alpha, beta = score(x, params, cfg)
+    assert np.all(probs == 0.5)
     if variant == "lstm":
-        assert pred.attention is None
+        assert alpha is None
     else:
-        alpha = pred.attention.alpha
-        assert np.all(alpha == alpha[:, :1])  # uniform rows
+        assert np.all(alpha == alpha[:, :1])  # uniform over the bins
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
-        if variant == "lstm-alpha-beta":
-            beta = pred.attention.beta
-            assert np.all(beta == beta[0])
-            np.testing.assert_allclose(beta.sum(), 1.0, atol=1e-12)
+    if variant == "lstm-alpha-beta":
+        assert np.all(beta == beta[0])
+        np.testing.assert_allclose(beta.sum(axis=0), 1.0, atol=1e-12)
+    else:
+        assert beta is None
 
 
 def test_single_mark_beta_is_one():
     cfg = ModelConfig(n_marks=1, n_bins=6, d=3, d_hm=2, variant="lstm-alpha-beta")
     params = init_params(cfg, seed=3)
-    pred = forward(np.random.default_rng(4).normal(size=(1, 6)), params, cfg)
-    np.testing.assert_array_equal(pred.attention.beta, [1.0])
-
-
-def test_forward_matches_straight_line_oracle():
-    cfg = tiny_cfg()
-    params = init_params(cfg, seed=11)
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        x = rng.normal(size=(cfg.n_marks, cfg.n_bins))
-        pred = forward(x, params, cfg)
-        ref = straight_line_forward(x, params, cfg)
-        assert abs(pred.prob_low - ref["probs"][0]) < 1e-12
-        assert abs(pred.prob_high - ref["probs"][1]) < 1e-12
-        np.testing.assert_allclose(pred.attention.alpha, ref["alpha"], atol=1e-12)
-        np.testing.assert_allclose(pred.attention.beta, ref["beta"], atol=1e-12)
-
-
-def test_forward_matches_oracle_with_mark_order_and_per_mark_contexts():
-    cfg = tiny_cfg(mark_order=(2, 0, 1), share_bin_context=False)
-    params = init_params(cfg, seed=13)
-    x = np.random.default_rng(14).normal(size=(cfg.n_marks, cfg.n_bins))
-    pred = forward(x, params, cfg)
-    ref = straight_line_forward(x, params, cfg)
-    assert abs(pred.prob_high - ref["probs"][1]) < 1e-12
-    np.testing.assert_allclose(pred.attention.beta, ref["beta"], atol=1e-12)
+    _, _, beta = score(np.random.default_rng(4).normal(size=(2, 1, 6)), params, cfg)
+    np.testing.assert_array_equal(beta, [[1.0, 1.0]])
 
 
 ORACLE_CONFIGS = [
@@ -368,19 +351,19 @@ def test_parameter_count_matches_closed_form():
 def test_alpha_rows_permute_with_their_marks():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=9)
-    x = np.random.default_rng(10).normal(size=(cfg.n_marks, cfg.n_bins))
-    base = forward(x, params, cfg)
+    x = np.random.default_rng(10).normal(size=(2, cfg.n_marks, cfg.n_bins))
+    _, alpha, beta = score(x, params, cfg)
 
     perm = [2, 0, 1]
     permuted = params.copy()
     stacks = params.blocks["bin_lstm"]                                  # (2M, 4d, n_a)
     by_mark = stacks.reshape(cfg.n_marks, 2, *stacks.shape[1:])
     permuted.blocks["bin_lstm"][...] = by_mark[perm].reshape(stacks.shape)
-    moved = forward(x[perm], permuted, cfg)
+    _, moved_alpha, moved_beta = score(x[:, perm], permuted, cfg)
     for k, j in enumerate(perm):
-        assert np.array_equal(moved.attention.alpha[k], base.attention.alpha[j])
+        assert np.array_equal(moved_alpha[k], alpha[j])
     # beta is order sensitive by design (the mark encoder consumes a sequence)
-    assert moved.attention.beta.shape == base.attention.beta.shape
+    assert moved_beta.shape == beta.shape
 
 
 def componentwise_forward(x, params, cfg, shift_mark0=None):
@@ -415,9 +398,9 @@ def test_componentwise_assembly_matches_forward():
     params = init_params(cfg, seed=15)
     x = np.random.default_rng(16).normal(size=(cfg.n_marks, cfg.n_bins))
     probs, alpha, _ = componentwise_forward(x, params, cfg)
-    pred = forward(x, params, cfg)
-    assert abs(probs[1] - pred.prob_high) < 1e-12
-    np.testing.assert_allclose(alpha, pred.attention.alpha, atol=1e-12)
+    batch_probs, batch_alpha, _ = score(x[None], params, cfg)
+    assert abs(probs[1] - batch_probs[1, 0]) < 1e-12
+    np.testing.assert_allclose(alpha, batch_alpha[:, :, 0], atol=1e-12)
 
 
 def test_bin_score_shift_leaves_prediction_bit_identical():
@@ -478,10 +461,9 @@ def test_prediction_is_a_probability_distribution(variant, seed):
     cfg = ModelConfig(n_marks=2, n_bins=5, d=3, d_hm=2, variant=variant)
     rng = np.random.default_rng(seed)
     params = init_params(cfg, seed=seed % 1000)
-    pred = forward(3 * np.abs(rng.normal(size=(2, 5))), params, cfg)
-    assert 0.0 <= pred.prob_high <= 1.0
-    assert 0.0 <= pred.prob_low <= 1.0
-    assert abs(pred.prob_high + pred.prob_low - 1.0) <= 1e-12
+    probs, _, _ = score(3 * np.abs(rng.normal(size=(3, 2, 5))), params, cfg)
+    assert np.all((0.0 <= probs) & (probs <= 1.0))
+    assert np.abs(probs.sum(axis=0) - 1.0).max() <= 1e-12
 
 
 def test_concurrent_forward_over_shared_parameters():
@@ -492,10 +474,10 @@ def test_concurrent_forward_over_shared_parameters():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=19)
     rng = np.random.default_rng(20)
-    inputs = [rng.normal(size=(cfg.n_marks, cfg.n_bins)) for _ in range(8)]
-    serial = [forward(x, params, cfg).prob_high for x in inputs]
+    inputs = [rng.normal(size=(2, cfg.n_marks, cfg.n_bins)) for _ in range(8)]
+    serial = [score(x, params, cfg)[0].tolist() for x in inputs]
     with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(lambda x: forward(x, params, cfg).prob_high, inputs))
+        threaded = list(pool.map(lambda x: score(x, params, cfg)[0].tolist(), inputs))
     assert serial == threaded
 
 
@@ -503,9 +485,9 @@ def test_forward_rejects_bad_shapes():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=1)
     with pytest.raises(DimensionError):
-        forward(np.zeros((2, 8)), params, cfg)
+        forward_batch(np.zeros((3, 8)), params, cfg)
     with pytest.raises(DimensionError):
-        forward_batch(np.zeros((1, 3, 9)), params, cfg)
+        forward_batch(np.zeros((1, 3, 9)), params, cfg, grad=False)
 
 
 def test_config_validation():

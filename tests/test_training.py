@@ -154,7 +154,7 @@ def test_validation_auc_ties_go_to_an_epoch_calling_both_classes():
     assert [e.val_calls_on for e in history.epochs[:4]] == [len(val_ds)] * 4
     assert 0 < history.epochs[4].val_calls_on < len(val_ds)
     assert history.best_epoch == 5
-    calls = predict_probs(val_ds.signals(), params, small_mcfg()) > 0.5
+    calls = predict_probs(val_ds.x, params, small_mcfg()) > 0.5
     assert calls.sum() == history.epochs[4].val_calls_on
 
 
@@ -172,11 +172,15 @@ def test_train_validates_inputs():
     wrong = ModelConfig(n_marks=4, n_bins=20, d=4, d_hm=3)
     with pytest.raises(ContractError):
         train(cfg, wrong, train_ds, val_ds)
-    empty = Dataset([], train_ds.mark_names, train_ds.n_bins)
+    empty = Dataset.from_arrays([], train_ds.x[:0], train_ds.mark_names, labels=[])
     with pytest.raises(ContractError):
         train(cfg, small_mcfg(), empty, val_ds)
-    one_class = Dataset([s for s in val_ds.samples if s.label == 1],
-                        val_ds.mark_names, val_ds.n_bins)
+    unlabeled = Dataset.from_arrays(train_ds.gene_ids, train_ds.x, train_ds.mark_names)
+    with pytest.raises(ContractError, match="binarize first"):
+        train(cfg, small_mcfg(), unlabeled, val_ds)
+    on = val_ds.labels == 1
+    one_class = Dataset.from_arrays([g for g, keep in zip(val_ds.gene_ids, on) if keep],
+                                    val_ds.x[on], val_ds.mark_names, labels=val_ds.labels[on])
     with pytest.raises(ContractError):
         train(cfg, small_mcfg(), train_ds, one_class)
 
