@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -113,7 +114,7 @@ def load_dataset(path: str, n_bins: int, arcsinh: bool = False) -> Dataset:
     A malformed file raises IngestionError citing its first bad line.
     """
     with _csv_text(path) as fh:
-        return _parse_dataset(fh, path, n_bins, arcsinh)
+        return _parse_dataset(fh, path, n_bins, arcsinh, os.fstat(fh.fileno()).st_size)
 
 
 @contextmanager
@@ -138,7 +139,7 @@ _BLOCK_ROWS = 8192
 _FIELDS, _BIN_TEXT, _BIN_RANGE, _NUMBER, _SIGNAL, _EXPRESSION, _DUPLICATE, _MISMATCH = range(1, 9)
 
 
-def _parse_dataset(fh, path: str, n_bins: int, arcsinh: bool) -> Dataset:
+def _parse_dataset(fh, path: str, n_bins: int, arcsinh: bool, n_bytes: int) -> Dataset:
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -148,7 +149,12 @@ def _parse_dataset(fh, path: str, n_bins: int, arcsinh: bool) -> Dataset:
         raise IngestionError(f"{path}: header must be gene_id,bin,<marks...>,expression", line=1)
     mark_names = header[2:-1]
 
-    table = _GeneTable(len(mark_names), n_bins)
+    # A valid file holds n_bins records per gene, each of at least M + 2
+    # one-character numeric fields and M + 2 separators: that bounds the
+    # genes the table may make room for. (Below one bin, every bin is out
+    # of range.)
+    record = 2 * (len(mark_names) + 2)
+    table = _GeneTable(len(mark_names), n_bins, n_bytes // (record * max(n_bins, 1)))
     lineno = 2
     while rows := list(islice(reader, _BLOCK_ROWS)):
         table.add(rows, lineno)
@@ -164,10 +170,12 @@ class _GeneTable:
     line that filled each key (0 while unfilled), so duplicate and missing
     bins are array lookups. Checked blocks are kept as (keys, numbers)
     columns and scattered into one (N, n_marks, n_bins) array at the end.
+    A block naming more than ``max_genes`` genes fails before any room is
+    made for them.
     """
 
-    def __init__(self, n_marks: int, n_bins: int):
-        self.n_marks, self.n_bins = n_marks, n_bins
+    def __init__(self, n_marks: int, n_bins: int, max_genes: int):
+        self.n_marks, self.n_bins, self.max_genes = n_marks, n_bins, max_genes
         self.index: dict[str, int] = {}
         self.expr = np.zeros(0)                     # per gene: expression of its first row
         self.gene_line = np.zeros(0, np.int64)     # per gene: line of its first row
@@ -233,7 +241,11 @@ class _GeneTable:
     def _reserve(self, n_genes: int) -> None:
         if n_genes <= self.expr.size:
             return
-        cap = max(n_genes, 2 * self.expr.size)
+        if n_genes > self.max_genes:
+            raise IngestionError(f"n_bins = {self.n_bins} does not fit the file: it has room "
+                                 f"for {self.max_genes} genes of n_bins records, "
+                                 f"and names at least {n_genes}")
+        cap = min(max(n_genes, 2 * self.expr.size), self.max_genes)
         self.expr = _grown(self.expr, cap)
         self.gene_line = _grown(self.gene_line, cap)
         self.key_line = _grown(self.key_line, cap * self.n_bins)

@@ -22,7 +22,11 @@ With ``keep=True`` the node keeps every step's activated gates and cell
 states for its backward pass, which runs backpropagation through time
 inside the node: per step, one batched transposed product gives the
 adjoints of h_prev and x, and one more accumulates the gradient of the
-whole [U | W | b] stack, returned in the stack's own layout. With
+whole [U | W | b] stack, returned in the stack's own layout. A pass that
+wants input gradients only (saliency) passes ``param_grad=False``: the
+node then records the input as its one parent, and its backward pass
+skips the stack product and does not keep the per-step [h_prev; x; 1]
+columns that product reads; the input adjoints are the same bits. With
 ``keep=False`` the same step loop writes each step's gates and cell
 state over one rolling slot, and the call returns a constant with no
 parents and no backward closure, so no gate or cell buffer outlives it.
@@ -44,7 +48,8 @@ from .errors import ContractError, DimensionError
 GATES = ("i", "f", "o", "g")
 
 
-def bilstm_encode_steps(x: Tensor, a: Tensor, keep: bool = True) -> Tensor:
+def bilstm_encode_steps(x: Tensor, a: Tensor, keep: bool = True,
+                        param_grad: bool = True) -> Tensor:
     """Encode K independent sequences with their own bidirectional LSTMs.
 
     ``x`` is a (T, K, n_in, B) stack: step t of sequence k for B batch
@@ -52,8 +57,10 @@ def bilstm_encode_steps(x: Tensor, a: Tensor, keep: bool = True) -> Tensor:
     blocks, forward and backward direction of sequence k at rows 2k and
     2k + 1. Returns the (T, K, 2d, B) stack whose [t, k] entry is the
     forward state after steps 1..t on top of the backward state after
-    steps T..t, as one graph node. With ``keep=False`` no step's gates or
-    cells are kept and the result is a constant outside the graph.
+    steps T..t, as one graph node. With ``param_grad=False`` the node's
+    backward pass gives the input gradient only, and ``a`` is not its
+    parent. With ``keep=False`` no step's gates or cells are kept and the
+    result is a constant outside the graph.
     """
     xd, w = x.data, a.data
     if xd.ndim != 4:
@@ -105,6 +112,8 @@ def bilstm_encode_steps(x: Tensor, a: Tensor, keep: bool = True) -> Tensor:
     out = out.reshape(n_t, n_k, 2 * d, n_b)
     if not keep:
         return Tensor(out, validate=False)
+    if not param_grad:
+        hx = None  # only the stack gradient reads the step columns
     walked = False
 
     def bwd(adj):
@@ -119,7 +128,7 @@ def bilstm_encode_steps(x: Tensor, a: Tensor, keep: bool = True) -> Tensor:
         dh_all[:, :, 1] = adj[::-1, :, 1]
         dh_all = dh_all.reshape(n_t, n_s, d, n_b)
         a_t = w.transpose(0, 2, 1)
-        da = np.zeros((n_s, 4 * d, n_a))
+        da = np.zeros((n_s, 4 * d, n_a)) if param_grad else None
         dxs = np.empty((n_t, n_s, n_in, n_b))
         up = np.empty((n_s, 3 * d, n_b))
         dhx = carry = None
@@ -154,9 +163,11 @@ def bilstm_encode_steps(x: Tensor, a: Tensor, keep: bool = True) -> Tensor:
             np.multiply(up, ds, out=sig)
             dhx = np.matmul(a_t, z)                                      # (S, n_a, B)
             dxs[s] = dhx[:, d:-1]
-            da += np.matmul(z, hx[s].swapaxes(-1, -2))
+            if param_grad:
+                da += np.matmul(z, hx[s].swapaxes(-1, -2))
 
         dxs = dxs.reshape(n_t, n_k, 2, n_in, n_b)
-        return dxs[:, :, 0] + dxs[::-1, :, 1], da
+        dx = dxs[:, :, 0] + dxs[::-1, :, 1]
+        return (dx, da) if param_grad else (dx,)
 
-    return ad.custom(out, "bilstm_scan", (x, a), bwd)
+    return ad.custom(out, "bilstm_scan", (x, a) if param_grad else (x,), bwd)

@@ -103,9 +103,14 @@ def pearson(x, y) -> float:
 
 # ---------------------------------------------------------- model scoring
 
+# Genes per scoring batch. Each batch's pass is freed before the next
+# runs, so this bounds a scoring pass's memory; per-gene values do not
+# depend on it.
+SCORE_BATCH = 64
+
 
 def predict_probs(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
-                  batch_size: int = 256) -> np.ndarray:
+                  batch_size: int = SCORE_BATCH) -> np.ndarray:
     """Positive-class probabilities for a (N, M, T) input stack."""
     # tape-free, and no pass outlives its batch
     return np.concatenate([
@@ -115,7 +120,7 @@ def predict_probs(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
 
 
 def score_dataset(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
-                  batch_size: int = 256) -> ScoredSet:
+                  batch_size: int = SCORE_BATCH) -> ScoredSet:
     return ScoredSet(predict_probs(dataset.x, params, cfg, batch_size), dataset.labels)
 
 
@@ -147,12 +152,12 @@ def _add_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
                predicted_class: int, sums: ClassSums, saliency: bool) -> None:
     """Add one batch's samples predicted as the class into ``sums``: one
     forward pass, tape-free unless saliency is asked for, plus one
-    backward pass when it is.
+    backward pass to the inputs only when it is.
 
     One backward pass suffices for saliency: summing each kept column's own
     predicted-class logit gives every column its own logit gradient.
     """
-    bf = forward_batch(x, params, cfg, grad=saliency)
+    bf = forward_batch(x, params, cfg, grad=saliency, param_grad=False)
     probs = logits_to_probs(bf.logits.data)
     keep = (probs[1] > probs[0]) if predicted_class == 1 else (probs[1] <= probs[0])
     if not keep.any():
@@ -186,7 +191,7 @@ def _class_pass(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
 
 
 def mean_attention(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
-                   predicted_class: int, batch_size: int = 256,
+                   predicted_class: int, batch_size: int = SCORE_BATCH,
                    sums: ClassSums | None = None) -> MeanAttentionMap:
     """Average alpha and beta over samples whose argmax prediction equals
     predicted_class (+1 or -1). Given the ``sums`` a :func:`mean_saliency`
@@ -204,7 +209,7 @@ def mean_attention(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
 
 
 def mean_saliency(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
-                  predicted_class: int, batch_size: int = 256,
+                  predicted_class: int, batch_size: int = SCORE_BATCH,
                   sums: ClassSums | None = None) -> np.ndarray:
     """Mean absolute input gradient over samples predicted as one class.
 

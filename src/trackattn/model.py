@@ -42,9 +42,12 @@ names (``bin_lstm.{k}.{fwd|bwd}.{w|u|b}_{i|f|o|g}``, ``bin_context.{k}``,
 A pass that no backward pass follows (scoring, validation, attention
 maps) runs with ``grad=False``: both scans then keep no per-step gates or
 cells and record no node, so a pass holds its activations, not the
-~400 MB of backward buffers a 256-sample bin scan keeps at the
-acceptance shapes. All functions are pure over read-only parameters; a
-trained store can serve concurrent forward calls.
+~100 MB of backward buffers a 64-sample bin scan keeps at the
+acceptance shapes. A pass whose backward pass wants input gradients only
+(saliency) runs with ``param_grad=False``: its scans then skip the
+[U | W | b] gradient and the step columns it reads. All functions are
+pure over read-only parameters; a trained store can serve concurrent
+forward calls.
 """
 
 from __future__ import annotations
@@ -283,7 +286,7 @@ def _final_states(encoded: Tensor, d: int) -> Tensor:
 
 
 def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
-                  grad: bool = True) -> BatchForward:
+                  grad: bool = True, param_grad: bool = True) -> BatchForward:
     """Run the variant's forward pass over a (B, M, T) input stack.
 
     The bin level is one scan call over every mark (per-mark variants) or
@@ -291,7 +294,8 @@ def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
     the mark level of lstm-alpha-beta is one more scan and pool. With
     ``grad=False`` (no backward pass follows) both scans run tape-free:
     the values are bit-identical, but no gradient reaches the inputs or
-    the LSTM parameters.
+    the LSTM parameters. With ``param_grad=False`` a backward pass gives
+    the same input gradients, but none reaches the LSTM parameters.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1:] != (cfg.n_marks, cfg.n_bins):
@@ -304,7 +308,8 @@ def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
 
     steps = x.transpose(2, 1, 0)                                         # (T, M, B)
     inputs = Tensor(np.ascontiguousarray(steps[:, :, None] if per_mark else steps[:, None]))
-    encoded = bilstm_encode_steps(inputs, leaves["bin_lstm"], keep=grad)  # (T, K, 2d, B)
+    encoded = bilstm_encode_steps(inputs, leaves["bin_lstm"], keep=grad,
+                                  param_grad=param_grad)                 # (T, K, 2d, B)
 
     if cfg.variant == "lstm":
         logits = ad.affine(clf_w, _final_states(encoded, cfg.d), clf_b)
@@ -324,7 +329,7 @@ def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
         return BatchForward(logits, alphas, None, leaves, inputs)
 
     encoded_marks = bilstm_encode_steps(_mark_sequence(pooled, cfg.order), leaves["mark_lstm"],
-                                        keep=grad)
+                                        keep=grad, param_grad=param_grad)
     betas, gene_vec = _attend_steps(encoded_marks, leaves["mark_context"])
     logits = ad.affine(clf_w, ad.reshape(gene_vec, (2 * cfg.d_hm, n_b)), clf_b)
     return BatchForward(logits, alphas, betas[:, 0], leaves, inputs)

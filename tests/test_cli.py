@@ -115,6 +115,14 @@ def test_train_missing_dataset_names_path(ws, capsys):
     assert "/nowhere/x.csv" in capsys.readouterr().err
 
 
+def test_train_n_bins_the_file_cannot_hold_is_a_data_error(ws, tmp_path, capsys):
+    # 300 genes by 10**12 bins would reserve petabytes before any check
+    assert run("train", "--config", str(ws / "train.cfg"), "--set", "n_bins=1000000000000",
+               "--set", f"out_dir={tmp_path}/run") == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "n_bins = 1000000000000" in err
+
+
 def test_train_unknown_config_key(ws):
     assert run("train", "--config", str(ws / "train.cfg"), "--set", "dropout=0.5") == 2
 
@@ -374,7 +382,7 @@ def test_attend_one_pass_matches_two_pass_maps(ws, tmp_path, monkeypatch):
     out = tmp_path / "maps"
     assert run("attend", "--checkpoint", ckpt, "--dataset", dataset, "--class", "on",
                "--out", str(out), "--reference", relevance) == 0
-    assert batches == [256, 44]
+    assert batches == [64, 64, 64, 64, 44]
     for name, text in expected.items():
         assert (out / name).read_bytes() == text.encode("utf-8"), name
 
@@ -497,3 +505,14 @@ def test_eval_non_finite_checkpoint_payload_is_a_data_error(ws, tmp_path, capsys
                "--out", str(tmp_path / "m.json")) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "non-finite" in err
+
+
+def test_eval_checkpoint_n_bins_the_dataset_cannot_hold_is_a_data_error(ws, tmp_path, capsys):
+    path = str(tmp_path / "wide.ckpt")
+    _rewrite_checkpoint(str(ws / "run" / "checkpoint.ckpt"), path,
+                        edit_header=lambda h: h["config"].update(n_bins=10**12))
+    assert run("eval", "--checkpoint", path, "--dataset", str(ws / "data" / "dataset.csv"),
+               "--out", str(tmp_path / "m.json")) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "n_bins = 1000000000000" in err
+    assert not (tmp_path / "m.json").exists()

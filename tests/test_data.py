@@ -75,6 +75,18 @@ def test_load_missing_bins_names_gene(tmp_path):
     assert "gB" in str(err.value) and "missing bins" in str(err.value)
 
 
+def test_load_bounds_n_bins_by_the_file_size(tmp_path):
+    # records of the fewest bytes a valid file can hold: an empty gene id,
+    # one-character numbers and no final line break
+    rows = [f",{b},0,1" for b in range(10)] + [f"g,{b},0,2" for b in range(10)]
+    path = write(tmp_path, "gene_id,bin,m,expression\n" + "\n".join(rows))
+    assert len(load_dataset(path, n_bins=10)) == 2
+    with pytest.raises(IngestionError, match=r"n_bins = 1000000000000 does not fit"):
+        load_dataset(path, n_bins=10**12)
+    with pytest.raises(IngestionError, match=r"bin 0 outside \[0, 0\)"):
+        load_dataset(path, n_bins=0)
+
+
 def test_load_empty_file(tmp_path):
     with pytest.raises(IngestionError) as err:
         load_dataset(write(tmp_path, ""), n_bins=3)

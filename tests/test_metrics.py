@@ -269,18 +269,40 @@ def test_predict_probs_batches_consistently():
     np.testing.assert_allclose(probs_big, singles, atol=1e-12)
 
 
-def test_predict_probs_keeps_no_backward_buffers():
-    # one 256-sample batch at the acceptance shapes: a taped pass keeps its
-    # bin scan's (T, 2M, 4d, B) gates and (T, 2M, d, B) cells, ~390 MB
+def acceptance_scoring_input():
+    """256 genes at the acceptance shapes, with a model to score them."""
     cfg = ModelConfig(n_marks=5, n_bins=100, d=32, d_hm=16, variant="lstm-alpha-beta")
     params = init_params(cfg, seed=17)
     x = np.abs(np.random.default_rng(18).normal(size=(256, cfg.n_marks, cfg.n_bins)))
+    return cfg, params, x
+
+
+def traced_peak(fn) -> int:
     tracemalloc.start()
     try:
-        predict_probs(x, params, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_predict_probs_keeps_no_backward_buffers():
+    # a taped pass would keep its bin scan's (T, 2M, 4d, B) gates and
+    # (T, 2M, d, B) cells, ~100 MB per 64-gene batch; one 256-gene batch
+    # of the tape-free pass peaked at 135 MiB
+    cfg, params, x = acceptance_scoring_input()
+    peak = traced_peak(lambda: predict_probs(x, params, cfg))
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+def test_mean_saliency_keeps_one_batch_of_input_only_buffers():
+    # one 64-gene taped pass at a time, with no [U | W | b] gradient: 256-gene
+    # batches that also built the stack gradient peaked at 587 MiB
+    cfg, params, x = acceptance_scoring_input()
+    ds = Dataset.from_arrays([f"g{i}" for i in range(len(x))], x,
+                             [f"m{j}" for j in range(cfg.n_marks)])
+    klass = int(predicted_labels(x[:1], params, cfg)[0])
+    peak = traced_peak(lambda: mean_saliency(ds, params, cfg, klass))
     assert peak < 200 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 

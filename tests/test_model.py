@@ -220,6 +220,27 @@ def test_tape_free_pass_records_no_scan_node(variant):
     assert all(leaf.adjoint is None for name, leaf in bf.leaves.items() if "lstm" in name)
 
 
+@pytest.mark.parametrize("variant,share", [(v, True) for v in VARIANTS] + [
+    ("lstm-alpha", False), ("lstm-alpha-beta", False)])
+def test_input_only_backward_gives_the_same_input_gradient_bits(variant, share):
+    # the saliency backward: each column's own predicted-class logit
+    cfg = tiny_cfg(variant, share_bin_context=share, mark_order=(2, 0, 1))
+    params = init_params(cfg, seed=73)
+    x = np.random.default_rng(74).normal(size=(5, cfg.n_marks, cfg.n_bins))
+
+    def input_gradients(param_grad):
+        bf = forward_batch(x, params, cfg, param_grad=param_grad)
+        ad.backward(ad.sum_all(ad.pick_cols(bf.logits, np.argmax(bf.logits.data, axis=0))))
+        return bf, collect_input_gradients(bf, cfg)
+
+    full, full_grads = input_gradients(True)
+    lean, lean_grads = input_gradients(False)
+    assert np.array_equal(lean_grads, full_grads) and np.abs(full_grads).max() > 0
+    # no scan node has an LSTM stack for a parent, so no gradient reaches one
+    assert all(leaf.adjoint is None for name, leaf in lean.leaves.items() if "lstm" in name)
+    assert all(full.leaves[name].adjoint.any() for name in lean.leaves if "lstm" in name)
+
+
 @pytest.mark.parametrize("variant", ["lstm-attn", "lstm-alpha-beta"])
 def test_input_gradients_land_on_their_sample_mark_and_bin(variant):
     # the per-mark (T, M, 1, B) and joint (T, 1, M, B) input layouts must
