@@ -5,10 +5,15 @@ The on-disk dataset format is comma-separated text with header
 (gene, bin) pair. Bins are integers in [0, T); signals are non-negative
 reals; the expression value repeats identically on every row of a gene.
 Floats are written with shortest round-trip formatting so that a
-write-then-read cycle reproduces a dataset bit-exactly. Ingest tokenises
-with the ``csv`` module and checks and converts each block of records as
-numpy columns; ``mark,bin,<value>`` maps (relevance sidecars, attention
-and saliency maps) share one writer and one reader.
+write-then-read cycle reproduces a dataset bit-exactly. Ingest reads a
+block of lines at a time into numpy columns and checks each block as a
+whole. Plain blocks (no quote, CR or NUL, numbers in ASCII) go through
+numpy's C reader, which reads them exactly as ``int()`` and ``float()``
+would; from the first block that is not plain to the end of the file,
+the ``csv`` module tokenises and ``int()``/``float()`` convert. Both
+give the same dataset and the same errors. ``mark,bin,<value>`` maps
+(relevance sidecars, attention and saliency maps) share one writer and
+one reader.
 
 Synthetic datasets plant an additive effect in one mark over a bin
 window for positive samples, on top of folded-Gaussian noise everywhere;
@@ -20,9 +25,11 @@ from __future__ import annotations
 import csv
 import io
 import os
+import warnings
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -130,8 +137,9 @@ def _csv_text(path: str):
             raise IngestionError(f"{path}: malformed CSV record ({err})") from None
 
 
-# Records are parsed this many at a time: enough to amortise each
-# vectorised pass, few enough that a block's cells stay small.
+# Lines (csv records, once the csv module reads) are parsed this many at
+# a time: enough to amortise each vectorised pass, few enough that a
+# block's cells stay small.
 _BLOCK_ROWS = 8192
 
 # The row checks, in the order a row reports them: a file fails at its
@@ -140,9 +148,8 @@ _FIELDS, _BIN_TEXT, _BIN_RANGE, _NUMBER, _SIGNAL, _EXPRESSION, _DUPLICATE, _MISM
 
 
 def _parse_dataset(fh, path: str, n_bins: int, arcsinh: bool, n_bytes: int) -> Dataset:
-    reader = csv.reader(fh)
     try:
-        header = next(reader)
+        header = next(csv.reader(fh))
     except StopIteration:
         raise IngestionError(f"{path}: no samples (empty file)") from None
     if len(header) < 4 or header[0] != "gene_id" or header[1] != "bin" or header[-1] != "expression":
@@ -156,22 +163,132 @@ def _parse_dataset(fh, path: str, n_bins: int, arcsinh: bool, n_bytes: int) -> D
     record = 2 * (len(mark_names) + 2)
     table = _GeneTable(len(mark_names), n_bins, n_bytes // (record * max(n_bins, 1)))
     lineno = 2
-    while rows := list(islice(reader, _BLOCK_ROWS)):
-        table.add(rows, lineno)
+    # plain blocks go through numpy's reader until the first that is not
+    # plain; from there to the end, the csv module reads the file
+    dtype = np.dtype([("bin", np.int64), ("signals", np.float64, (len(mark_names),)),
+                      ("expression", np.float64)])
+    while (lines := list(islice(fh, _BLOCK_ROWS))) and (block := _plain_block(lines, dtype)):
+        table.add(block, lineno)
+        lineno += len(lines)
+    for rows in _csv_blocks(csv.reader(chain(lines, fh))):
+        table.add(_csv_block(rows, len(mark_names)), lineno)
         lineno += len(rows)
     return table.dataset(path, mark_names, arcsinh)
+
+
+def _csv_blocks(reader):
+    """The reader's records, ``_BLOCK_ROWS`` at a time. A record the csv
+    module refuses ends its block, and raises once the rows before it
+    are checked: a file fails at its first bad line either way."""
+    rows = []
+    try:
+        for row in reader:
+            rows.append(row)
+            if len(rows) == _BLOCK_ROWS:
+                yield rows
+                rows = []
+    except csv.Error:
+        yield rows
+        raise
+    if rows:
+        yield rows
+
+
+@dataclass
+class _Block:
+    """One block of lines as columns, for :meth:`_GeneTable.add`.
+
+    ``whole`` gives the block index of each record to check: the
+    non-blank lines before ``fields_at``, the first line of a wrong field
+    count (None when there is none). ``bin_text`` and ``number_bad`` mask
+    the records whose bin ``int()`` refuses and those holding a value
+    ``float()`` refuses; their values are placeholders. ``row(j)`` gives
+    the csv fields of the block's line j, for error messages.
+    """
+
+    row: Callable[[int], list[str]]
+    whole: np.ndarray
+    genes: list[str]
+    bins: np.ndarray            # (n,) int64
+    signals: np.ndarray         # (n, n_marks)
+    expression: np.ndarray      # (n,)
+    bin_text: np.ndarray        # (n,) bool
+    number_bad: np.ndarray      # (n,) bool
+    fields_at: int | None = None
+
+
+# A block holding one of these is not plain: csv records and lines part
+# at a quote or a CR, Python versions part at a NUL, and numpy's reader
+# skips the separators 0x1c-0x1f as blanks where int() and float() refuse
+# them.
+_NOT_PLAIN = '"\r\0\x1c\x1d\x1e\x1f'
+
+
+def _plain_block(lines: list[str], dtype: np.dtype) -> _Block | None:
+    """The block read by numpy's C reader, or None unless every line is a
+    plain record that it reads exactly as ``int()`` and ``float()`` would.
+
+    In a plain block each line is one csv record: no line holds a quote,
+    CR or NUL, or outgrows the csv field limit. The gene id is the text
+    before the first comma; the rest must be ASCII, on which numpy's
+    reader accepts a strict subset of what ``int()`` and ``float()``
+    accept and gives the same values. It must also hold exactly the
+    columns of ``dtype``, each readable, and raise no warning: older
+    numpy reads ``5.0`` into an int column with a DeprecationWarning,
+    and a block whose lines hold no numbers gets a UserWarning.
+    """
+    text = "".join(lines)
+    if any(c in text for c in _NOT_PLAIN) or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    whole = np.arange(len(lines))
+    if text.startswith("\n") or "\n\n" in text:
+        whole = np.flatnonzero([line != "\n" for line in lines])
+    parts = [line.partition(",") for line in lines if line != "\n"]
+    numeric = [p[2] for p in parts]
+    if not (text.isascii() or "".join(numeric).isascii()):
+        return None
+    if not numeric:     # blank lines only: loadtxt would warn of no data
+        columns = np.zeros(0, dtype)
+    else:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                columns = np.loadtxt(numeric, dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+        if len(columns) != len(numeric):    # loadtxt skipped a line with no numbers
+            return None
+    refused = np.zeros(len(numeric), bool)    # numpy refused no cell
+    return _Block(lambda j: next(csv.reader([lines[j]])), whole, [p[0] for p in parts],
+                  columns["bin"], np.ascontiguousarray(columns["signals"]),
+                  columns["expression"], refused, refused)
+
+
+def _csv_block(rows: list[list[str]], n_marks: int) -> _Block:
+    """A block of csv records, converted by ``int()`` and ``float()``."""
+    widths = np.fromiter(map(len, rows), np.intp, len(rows))
+    wrong = np.flatnonzero((widths != 0) & (widths != n_marks + 3))
+    fields_at = int(wrong[0]) if wrong.size else None
+    whole = np.flatnonzero(widths[:fields_at])
+    cells = np.array([rows[j] for j in whole], dtype=object).reshape(whole.size, n_marks + 3)
+    bins, bin_text = _ints(cells[:, 1])
+    numbers, number_bad = _floats(cells[:, 2:])
+    return _Block(rows.__getitem__, whole, cells[:, 0].tolist(), bins, numbers[:, :-1],
+                  numbers[:, -1], bin_text, number_bad, fields_at)
 
 
 class _GeneTable:
     """Columnar accumulator for dataset records, one block at a time.
 
-    Genes are numbered in order of first appearance, and the cell of
-    (gene, bin) is keyed ``gene * n_bins + bin``. ``key_line`` holds the
-    line that filled each key (0 while unfilled), so duplicate and missing
-    bins are array lookups. Checked blocks are kept as (keys, numbers)
-    columns and scattered into one (N, n_marks, n_bins) array at the end.
-    A block naming more than ``max_genes`` genes fails before any room is
-    made for them.
+    Both readers feed it the same :class:`_Block` columns, and it runs
+    every row check on them. Genes are numbered in order of first
+    appearance, and the cell of (gene, bin) is keyed ``gene * n_bins +
+    bin``. ``key_line`` holds the line that filled each key (0 while
+    unfilled), so duplicate and missing bins are array lookups. Checked
+    blocks are kept as (keys, signals) columns and scattered into one
+    (N, n_marks, n_bins) array at the end. A block
+    naming more than ``max_genes`` genes fails before any room is made
+    for them.
     """
 
     def __init__(self, n_marks: int, n_bins: int, max_genes: int):
@@ -182,24 +299,15 @@ class _GeneTable:
         self.key_line = np.zeros(0, np.int64)
         self.blocks: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def add(self, rows: list[list[str]], first_line: int) -> None:
-        """Check and keep one block of records, the first on ``first_line``;
-        blank records are skipped. Raises at the block's first bad row."""
-        n_fields = self.n_marks + 3
-        widths = np.fromiter(map(len, rows), np.intp, len(rows))
-        codes = np.where((widths != 0) & (widths != n_fields), _FIELDS, 0)
-        whole = np.flatnonzero(widths == n_fields)
-        cells = np.array([rows[i] for i in whole], dtype=object).reshape(whole.size, n_fields)
-        lines = first_line + whole
-
+    def add(self, block: _Block, first_line: int) -> None:
+        """Check and keep one block, its line 0 on ``first_line``. Raises
+        at the block's first bad row."""
+        lines = first_line + block.whole
         n_known = len(self.index)
-        genes = cells[:, 0].tolist()
-        for gene_id in dict.fromkeys(genes):
+        for gene_id in dict.fromkeys(block.genes):
             self.index.setdefault(gene_id, len(self.index))
-        gene = np.fromiter(map(self.index.__getitem__, genes), np.int64, len(genes))
-        bins, bin_text = _ints(cells[:, 1])
-        numbers, number_bad = _floats(cells[:, 2:])
-        signals, expression = numbers[:, :-1], numbers[:, -1]
+        gene = np.fromiter(map(self.index.__getitem__, block.genes), np.int64, len(block.genes))
+        bins, signals, expression = block.bins, block.signals, block.expression
 
         self._reserve(len(self.index))
         ids, first = np.unique(gene, return_index=True)
@@ -209,14 +317,14 @@ class _GeneTable:
 
         # np.select takes the first true condition, so placeholder values
         # of rejected cells never reach a later check
-        local = np.select([
-            bin_text,
+        codes = np.select([
+            block.bin_text,
             (bins < 0) | (bins >= self.n_bins),
-            number_bad,
+            block.number_bad,
             (~np.isfinite(signals) | (signals < 0)).any(axis=1),
             ~np.isfinite(expression),
         ], [_BIN_TEXT, _BIN_RANGE, _NUMBER, _SIGNAL, _EXPRESSION], 0)
-        ok = local == 0
+        ok = codes == 0
         keys = gene[ok] * self.n_bins + bins[ok]
         _, key_first, key_inverse = np.unique(keys, return_index=True, return_inverse=True)
         earlier = self.key_line[keys]
@@ -224,19 +332,19 @@ class _GeneTable:
         seen_at[ok] = np.where(earlier > 0, earlier, lines[ok][key_first[key_inverse]])
         duplicate = seen_at[ok] != lines[ok]
         mismatch = ~duplicate & (expression[ok] != self.expr[gene[ok]])
-        local[ok] = np.select([duplicate, mismatch], [_DUPLICATE, _MISMATCH], 0)
-        codes[whole] = local
+        codes[ok] = np.select([duplicate, mismatch], [_DUPLICATE, _MISMATCH], 0)
 
         bad = np.flatnonzero(codes)
         if bad.size:
-            j = int(bad[0])
-            i = np.searchsorted(whole, j)   # j's row among the whole records, if it is one
-            if i == whole.size:
-                raise self._row_error(int(codes[j]), rows[j], first_line + j)
-            raise self._row_error(int(codes[j]), rows[j], first_line + j,
+            i = int(bad[0])
+            j = int(block.whole[i])
+            raise self._row_error(int(codes[i]), block.row(j), first_line + j,
                                   int(seen_at[i]), float(self.expr[gene[i]]))
+        if block.fields_at is not None:
+            j = block.fields_at
+            raise self._row_error(_FIELDS, block.row(j), first_line + j)
         self.key_line[keys] = lines
-        self.blocks.append((keys, numbers))
+        self.blocks.append((keys, signals))
 
     def _reserve(self, n_genes: int) -> None:
         if n_genes <= self.expr.size:
@@ -248,7 +356,8 @@ class _GeneTable:
         cap = min(max(n_genes, 2 * self.expr.size), self.max_genes)
         self.expr = _grown(self.expr, cap)
         self.gene_line = _grown(self.gene_line, cap)
-        self.key_line = _grown(self.key_line, cap * self.n_bins)
+        # no keys below one bin: there every bin fails its range check
+        self.key_line = _grown(self.key_line, cap * max(self.n_bins, 0))
 
     def _row_error(self, code: int, row: list[str], line: int, seen_at: int = 0,
                    first_expr: float = 0.0) -> IngestionError:
@@ -288,8 +397,8 @@ class _GeneTable:
                 f"{'...' if len(missing) > 5 else ''}", line=int(self.gene_line[g]))
 
         values = np.empty((n, self.n_marks, n_bins))
-        for keys, numbers in self.blocks:
-            values[keys // n_bins, :, keys % n_bins] = numbers[:, :-1]
+        for keys, signals in self.blocks:
+            values[keys // n_bins, :, keys % n_bins] = signals
         self.blocks = []
         if arcsinh:
             np.arcsinh(values, out=values)

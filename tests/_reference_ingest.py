@@ -19,7 +19,10 @@ from trackattn.errors import IngestionError
 
 def load_dataset(path: str, n_bins: int, arcsinh: bool = False) -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _parse_dataset(fh, path, n_bins, arcsinh)
+        try:
+            return _parse_dataset(fh, path, n_bins, arcsinh)
+        except csv.Error as err:    # a record the csv module refuses, at its turn
+            raise IngestionError(f"{path}: malformed CSV record ({err})") from None
 
 
 def _parse_dataset(fh, path: str, n_bins: int, arcsinh: bool) -> Dataset:

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trackattn.cli import main
+from trackattn.cli import TRAIN_DEFAULTS, main
 from trackattn.data import load_dataset, load_relevance, read_map_csv
 from trackattn.model import load_checkpoint, save_checkpoint
 
@@ -516,3 +520,115 @@ def test_eval_checkpoint_n_bins_the_dataset_cannot_hold_is_a_data_error(ws, tmp_
     err = capsys.readouterr().err
     assert "data error" in err and "n_bins = 1000000000000" in err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_train_negative_n_bins_is_a_data_error(ws, tmp_path, capsys):
+    # as with n_bins = 0, the first record's bin is out of range
+    assert run("train", "--config", str(ws / "train.cfg"), "--set", "n_bins=-5",
+               "--set", f"out_dir={tmp_path}/run") == 3
+    assert capsys.readouterr().err == "data error: line 2: bin 0 outside [0, -5)\n"
+
+
+def test_eval_report_path_that_cannot_be_written_is_named(ws, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for out in (tmp_path / "missing" / "m.json", taken):
+        assert run("eval", "--checkpoint", str(ws / "run" / "checkpoint.ckpt"),
+                   "--dataset", str(ws / "data" / "dataset.csv"), "--part", "test",
+                   "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: [Errno ") and err.endswith(f": {str(out)!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+# ------------------------------------------ arbitrary sidecar and config text
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A 12-gene dataset, a model trained on it for one epoch, and the
+    class ``attend`` finds predicted genes in."""
+    root = tmp_path_factory.mktemp("tiny")
+    assert run("synth", "--out", str(root / "data"), "--n-genes", "12", "--n-marks", "2",
+               "--n-bins", "4", "--bins", "1:2", "--seed", "2") == 0
+    config = root / "train.cfg"
+    config.write_text(f"dataset = {root}/data/dataset.csv\nout_dir = {root}/run\n"
+                      "n_bins = 4\nd = 2\nd_hm = 2\nmax_epochs = 1\n")
+    assert run("train", "--config", str(config)) == 0
+    for predicted in ("on", "off"):
+        if _quiet_run("attend", "--checkpoint", str(root / "run" / "checkpoint.ckpt"),
+                      "--dataset", str(root / "data" / "dataset.csv"), "--class", predicted,
+                      "--out", str(root / "maps"))[0] == 0:
+            return root, predicted
+    raise AssertionError("attend found no predicted class")
+
+
+def _quiet_run(*argv):
+    """The exit code and standard error of one command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert err.startswith(("config error: ", "data error: ", "numerical abort: ")), err
+
+
+def _mostly(common, rare):
+    """``common`` five times in six: most examples get past the first check."""
+    return st.integers(0, 5).flatmap(lambda i: rare if i == 5 else common)
+
+
+_SIDECAR_ROWS = st.lists(st.tuples(
+    _mostly(st.integers(0, 1), st.integers(-1, 2)), _mostly(st.integers(0, 3), st.integers(-1, 4)),
+    _mostly(st.sampled_from(["0.5", "1", "0", "2e-3", " 0.25"]),
+            st.sampled_from(["nan", "-inf", "1e400", "x", "", '"1"', "1,2"]))),
+    max_size=8, unique_by=lambda row: row[:2])
+_NEAR_VALID_SIDECAR = st.builds(
+    lambda header, rows, tail: (header + "".join(f"{m},{b},{v}\n" for m, b, v in rows)
+                                + tail).encode(),
+    _mostly(st.just("mark,bin,relevance\n"), st.sampled_from(["mark,bin,alpha\n", "mark\n", ""])),
+    _SIDECAR_ROWS, _mostly(st.just(""), st.sampled_from(["\n", "\r\n", ",", '"', "0,1"])))
+SIDECARS = _mostly(_NEAR_VALID_SIDECAR,
+                   st.one_of(st.binary(max_size=60),
+                             st.text(st.characters(codec="utf-8"), max_size=60).map(str.encode)))
+
+
+@settings(max_examples=100)
+@given(sidecar=SIDECARS)
+def test_attend_with_arbitrary_reference_text_exits_cleanly(tiny, sidecar):
+    root, predicted = tiny
+    path = root / "reference.csv"
+    path.write_bytes(sidecar)
+    assert_clean_exit(*_quiet_run(
+        "attend", "--checkpoint", str(root / "run" / "checkpoint.ckpt"),
+        "--dataset", str(root / "data" / "dataset.csv"), "--class", predicted,
+        "--out", str(root / "fuzz-maps"), "--reference", str(path)))
+
+
+_ANY_TEXT = st.text(st.characters(codec="utf-8"), max_size=16)
+_KEY_VALUE = st.builds("{} = {}".format, st.sampled_from(sorted(TRAIN_DEFAULTS) + ["dropout"]),
+                       _mostly(st.sampled_from([
+                           "0", "1", "-1", "2", "4", "-5", "0.5", "nan", "inf", "1e9", "true",
+                           "no", "lstm", "lstm-alpha", "lstm-attn", "lstm-alpha-beta", "sgd",
+                           "1,0", "0,0", "0,2", "1/3,1/3,1/3", "0.5,0.25,0.25", "1,0,0",
+                           "1/0,0,1", "0.9,0.05"]), _ANY_TEXT))
+_CONFIG_LINES = st.lists(_mostly(_KEY_VALUE, _ANY_TEXT), max_size=4)
+
+
+@settings(max_examples=100)
+@given(lines=_CONFIG_LINES)
+def test_train_with_arbitrary_config_text_exits_cleanly(tiny, lines):
+    # the overrides keep every run to one small epoch on the tiny dataset
+    root, _ = tiny
+    config = root / "fuzz.cfg"
+    config.write_bytes("\n".join(["n_bins = 4", *lines]).encode())
+    assert_clean_exit(*_quiet_run(
+        "train", "--config", str(config), "--set", f"dataset={root}/data/dataset.csv",
+        "--set", f"out_dir={root}/fuzz-run", "--set", "max_epochs=1", "--set", "d=2",
+        "--set", "d_hm=2"))

@@ -1,4 +1,7 @@
+import csv
 import hashlib
+import math
+import warnings
 from unittest import mock
 
 import _reference_ingest as reference_ingest
@@ -83,8 +86,10 @@ def test_load_bounds_n_bins_by_the_file_size(tmp_path):
     assert len(load_dataset(path, n_bins=10)) == 2
     with pytest.raises(IngestionError, match=r"n_bins = 1000000000000 does not fit"):
         load_dataset(path, n_bins=10**12)
-    with pytest.raises(IngestionError, match=r"bin 0 outside \[0, 0\)"):
+    with pytest.raises(IngestionError, match=r"line 2: bin 0 outside \[0, 0\)"):
         load_dataset(path, n_bins=0)
+    with pytest.raises(IngestionError, match=r"line 2: bin 0 outside \[0, -5\)"):
+        load_dataset(path, n_bins=-5)
 
 
 def test_load_empty_file(tmp_path):
@@ -320,7 +325,13 @@ def _outcome(load, path, n_bins, arcsinh=False):
 
 
 def assert_same_ingest(path, n_bins, arcsinh=False):
-    got = _outcome(load_dataset, path, n_bins, arcsinh)
+    # numpy warns where older versions read loosely ("5.0" into an int
+    # column) and on a block without data: ingest must neither rely on
+    # such a reading nor let the warning out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        warnings.simplefilter("error", DeprecationWarning)
+        got = _outcome(load_dataset, path, n_bins, arcsinh)
     assert got == _outcome(reference_ingest.load_dataset, path, n_bins, arcsinh)
     return got
 
@@ -332,9 +343,16 @@ def _quoted(text):
 # value-preserving spellings of a float, and of a bin index
 FLOAT_TEXTS = [repr, lambda v: f" {v!r}\t", lambda v: f"{v:.17e}", lambda v: repr(v).upper()]
 BIN_TEXTS = [str, lambda b: f" {b}", lambda b: f"0{b}", lambda b: f"+{b}"]
+# ... and spellings that int() and float() accept and that must reach them
+# through the csv path: numpy's reader refuses the underscores and the
+# Arabic-Indic digits, and takes no number outside ASCII
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+RESPELT_FLOATS = [lambda v: ("-0_" if math.copysign(1, v) < 0 else "0_") + repr(abs(v)),
+                  lambda v: repr(v).translate(ARABIC_INDIC), lambda v: f"\xa0{v!r}"]
+RESPELT_BINS = [lambda b: f"0_{b}", lambda b: str(b).translate(ARABIC_INDIC)]
 SPECIAL_SIGNALS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308]
 CORRUPTIONS = ["none", "bin_text", "bin_range", "signal", "expression", "fields", "duplicate",
-               "conflict", "missing", "mismatch", "blank_fields"]
+               "conflict", "missing", "mismatch", "blank_fields", "respell", "long_field"]
 
 
 @st.composite
@@ -345,8 +363,12 @@ def dataset_files(draw):
     file)."""
     n_marks = draw(st.integers(1, 3))
     n_bins = draw(st.integers(1, 4))
-    ids = draw(st.lists(st.text(alphabet='gA0 é,"\n-', max_size=4), min_size=1, max_size=4,
-                        unique=True))
+    # half the files are plain until corrupted: no quote and no CR, so
+    # numpy's reader takes their blocks. In the others a NUL is an error
+    # to Python 3.10's csv module, and text to later ones.
+    plain = draw(st.booleans())
+    ids = draw(st.lists(st.text(alphabet="gA0 é-" if plain else 'gA0 é,"\n-\0', max_size=4),
+                        min_size=1, max_size=4, unique=True))
     signal = st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
                        st.sampled_from(SPECIAL_SIGNALS))
     expression = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -357,7 +379,7 @@ def dataset_files(draw):
 
     def gene_field(gene_id):
         needs = any(c in gene_id for c in ',"\n')
-        return _quoted(gene_id) if needs or draw(st.booleans()) else gene_id
+        return _quoted(gene_id) if needs or (not plain and draw(st.booleans())) else gene_id
 
     records = []
     for gene_id in ids:
@@ -373,13 +395,15 @@ def dataset_files(draw):
         # a second corruption may land on the same row: which check wins
         r = draw(st.integers(0, len(records) - 1))
         row = records[r]
+        # the ASCII separators 0x1c-0x1f and a non-ASCII letter are texts
+        # that numpy's reader would read as numbers
         if kind == "bin_text":
-            row[1] = draw(st.sampled_from(["x", "1.0", "", "0x1", "1e0", "1 2"]))
+            row[1] = draw(st.sampled_from(["x", "1.0", "", "0x1", "1e0", "1 2", "0\x1f", "Ǿ"]))
         elif kind == "bin_range":
             row[1] = draw(st.sampled_from([str(n_bins), "-1", str(10**30), f"{n_bins + 7}"]))
         elif kind == "signal":
             row[2 + draw(st.integers(0, n_marks - 1))] = draw(
-                st.sampled_from(["nan", "inf", "-inf", "-1.5", "-5e-324", "abc", ""]))
+                st.sampled_from(["nan", "inf", "-inf", "-1.5", "-5e-324", "abc", "", "\x1c1"]))
         elif kind == "expression":
             row[-1] = draw(st.sampled_from(["nan", "inf", "-inf", "x", ""]))
         elif kind == "fields":
@@ -394,17 +418,29 @@ def dataset_files(draw):
             row[-1] = "12345.5" if row[-1].strip() != "12345.5" else "0.25"
         elif kind == "blank_fields":
             records.insert(draw(st.integers(0, len(records))), ["  "])
+        elif kind == "respell":
+            c = draw(st.integers(1, n_marks + 2))
+            try:
+                row[c] = (spell(int(row[1]), RESPELT_BINS) if c == 1
+                          else spell(float(row[c]), RESPELT_FLOATS))
+            except (ValueError, IndexError):
+                pass    # an earlier corruption left no number there
+        elif kind == "long_field":
+            # on the last record, so in a later block than the first
+            records[-1] = ["g" * (csv.field_size_limit() + 1)] + records[-1][1:]
 
     for _ in range(draw(st.integers(0, 3))):
-        records.insert(draw(st.integers(0, len(records))), [])
+        # a run of blank lines may fill a whole block
+        at = draw(st.integers(0, len(records)))
+        records[at:at] = [[]] * draw(st.integers(1, 5))
     header = ["gene_id", "bin", *(f"m{j}" for j in range(n_marks)), "expression"]
-    lines = [",".join(fields) + draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(fields) + draw(st.sampled_from(["\n"] if plain else ["\n", "\r\n"]))
              for fields in [header] + records]
     if draw(st.booleans()):
         lines[-1] = lines[-1].rstrip("\r\n")
     kind = kinds[0] if len(kinds) == 1 else "several"
-    must_fail = kind not in ("none", "mismatch", "several") and not (kind == "missing"
-                                                                     and n_bins == 1)
+    must_fail = kind not in ("none", "mismatch", "respell", "several") and not (
+        kind == "missing" and n_bins == 1)
     return "".join(lines), n_bins, must_fail
 
 
@@ -452,6 +488,35 @@ def test_ingest_matches_row_oracle_across_full_size_blocks(tmp_path):
     assert "first at line 6" in message
 
 
+@pytest.mark.parametrize("column,text", [
+    # numpy's reader skips the ASCII separators 0x1c-0x1f as blanks, and
+    # reads some letters outside ASCII as digits: "Ǿ" as 462
+    (1, "0\x1f"), (1, "\x1c0"), (1, "Ǿ"), (1, "ǿ"), (2, "1\x1e"), (3, "\x1d2.0"),
+    # int() and float() accept these: numpy's reader refuses the first
+    # four, and takes no number outside ASCII
+    (1, "0_0"), (1, "٠"), (2, "1_0.5"), (3, "٢.0"), (2, "\xa01.5"),
+])
+def test_texts_numpy_reads_otherwise_take_the_csv_path(tmp_path, column, text):
+    rows = [["g", str(b), "1.5", "2.0"] for b in range(3)]
+    rows[0][column] = text
+    path = write(tmp_path, "gene_id,bin,m,expression\n" + "".join(",".join(r) + "\n"
+                                                                for r in rows))
+    assert_same_ingest(path, 3)
+
+
+def test_clean_saved_file_is_read_by_numpy_alone(tmp_path):
+    # a lost speed-up would not show in any result: every block of a file
+    # save_dataset writes, and a block of blank lines, must take the C path
+    path, lines = _synth_rows(tmp_path, 250)
+    blocks = data_module._BLOCK_ROWS
+    lines[1 + 2 * blocks:1 + 2 * blocks] = ["\n"] * blocks
+    path.write_text("".join(lines))
+    with mock.patch.object(data_module, "_csv_block", side_effect=AssertionError("csv tier")):
+        ds = load_dataset(str(path), n_bins=100)
+    assert len(ds) == 250
+    assert assert_same_ingest(str(path), 100)[0] == "ok"
+
+
 def test_ingest_reports_missing_bins_of_the_first_incomplete_gene(tmp_path):
     path, lines = _synth_rows(tmp_path, 120)
     # line 1 is the header; gene g's bin b is on line 2 + 100 g + b
@@ -473,6 +538,14 @@ def test_readers_turn_undecodable_bytes_and_oversized_fields_into_ingestion_erro
     path.write_text("h" * 200_000 + "\n")
     with pytest.raises(IngestionError, match="malformed CSV record"):
         load(str(path))
+
+
+def test_bad_row_before_an_oversized_field_fails_first(tmp_path):
+    # both rows fall in one block; the csv module refuses the second
+    path = write(tmp_path, "gene_id,bin,m,expression\ng,9,1.0,2.0\n"
+                           + "g" * (csv.field_size_limit() + 1) + ",0,1.0,2.0\n")
+    kind, message, line = assert_same_ingest(path, 1)
+    assert (kind, line) == ("error", 2) and "bin 9 outside" in message
 
 
 # -------------------------------------------------------- writer round trip
