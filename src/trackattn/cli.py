@@ -18,7 +18,7 @@ from . import data as data_mod
 from . import metrics as metrics_mod
 from .errors import ContractError, IngestionError, MetricUndefinedError, NumericalError
 from .ioutil import atomic_write_text
-from .model import ModelConfig, load_checkpoint, save_checkpoint
+from .model import PER_MARK_VARIANTS, ModelConfig, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train, write_history
 
 EXIT_OK = 0
@@ -264,17 +264,18 @@ def cmd_attend(args) -> int:
     if cfg.variant == "lstm":
         raise ContractError(f"variant {cfg.variant!r} produces no attention maps")
     predicted_class = 1 if args.predicted_class == "on" else -1
+    # one alpha row per mark, or one joint row for lstm-attn
+    n_rows = cfg.n_marks if cfg.variant in PER_MARK_VARIANTS else 1
+    if reference is not None and (reference.shape[0] < n_rows
+                                  or reference.shape[1] != cfg.n_bins):
+        raise _DataError(
+            f"reference shape {reference.shape} does not cover attention "
+            f"({n_rows}, {cfg.n_bins})")
 
     # one forward and one backward pass per batch serve both maps
     sums = metrics_mod.ClassSums()
     sal = metrics_mod.mean_saliency(dataset, params, cfg, predicted_class, sums=sums)
     attention = metrics_mod.mean_attention(dataset, params, cfg, predicted_class, sums=sums)
-
-    if reference is not None and (reference.shape[0] < attention.alpha_mean.shape[0]
-                                  or reference.shape[1] != cfg.n_bins):
-        raise _DataError(
-            f"reference shape {reference.shape} does not cover attention "
-            f"({attention.alpha_mean.shape[0]}, {cfg.n_bins})")
 
     os.makedirs(args.out, exist_ok=True)
     metrics_mod.write_map_csv(os.path.join(args.out, "alpha.csv"),

@@ -22,7 +22,6 @@ from . import autodiff as ad
 from .data import Dataset, map_to_csv
 from .errors import ContractError, MetricUndefinedError
 from .ioutil import atomic_write_text
-from .autodiff import Tensor
 from .model import (ModelConfig, ParameterStore, collect_input_gradients, extract_profiles,
                     forward_batch, logits_to_probs)
 
@@ -154,8 +153,9 @@ def _add_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
     forward pass, tape-free unless saliency is asked for, plus one
     backward pass to the inputs only when it is.
 
-    One backward pass suffices for saliency: summing each kept column's own
-    predicted-class logit gives every column its own logit gradient.
+    One backward pass suffices for saliency: seeding each kept column's
+    own predicted-class logit with 1 gives every column its own logit
+    gradient.
     """
     bf = forward_batch(x, params, cfg, grad=saliency, param_grad=False)
     probs = logits_to_probs(bf.logits.data)
@@ -168,8 +168,9 @@ def _add_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
     if beta is not None:
         sums.beta = _add(sums.beta, beta[:, keep].sum(axis=1))
     if saliency:
-        picked = ad.pick_cols(bf.logits, np.argmax(bf.logits.data, axis=0))
-        ad.backward(ad.sum_all(ad.hadamard(picked, Tensor(keep.astype(np.float64)))))
+        seed = np.zeros_like(bf.logits.data)
+        seed[np.argmax(bf.logits.data, axis=0), np.arange(keep.size)] = keep
+        ad.backward(bf.logits, seed)
         grads = collect_input_gradients(bf, cfg)
         sums.saliency = _add(sums.saliency, np.abs(grads[keep]).sum(axis=0))
     sums.count += int(keep.sum())

@@ -28,16 +28,17 @@ over all M marks at once in the per-mark variants (K=M, n_in=1) or over
 the joint M-wide columns (K=1, n_in=M), followed by one attention-pool
 node; the mark level of ``lstm-alpha-beta`` is one more scan and pool over
 the mark summaries in ``mark_order``. The mean negative log-likelihood
-over the batch is the training root.
+over the batch is the training root, one more node.
 
 A :class:`ParameterStore` keeps every parameter in one contiguous float64
 vector. Each encoder's gates are one fused block in the layout the scan
 reads, a (2K, 4d, d + n_in + 1) stack of [U | W | b] matrices, and the
 contexts and head weights are blocks beside them; the forward pass makes
-one leaf per fused block. A B=16 training step therefore records fewer
-than 20 nodes, as many for M=2 marks as for M=5. The per-gate checkpoint
-names (``bin_lstm.{k}.{fwd|bwd}.{w|u|b}_{i|f|o|g}``, ``bin_context.{k}``,
-...) are views into the same vector.
+one leaf per fused block. A training step therefore records 8, 9, 13 or
+14 nodes (``lstm``, ``lstm-attn``, ``lstm-alpha``, ``lstm-alpha-beta``)
+at any batch size, as many for M=2 marks as for M=5. The per-gate
+checkpoint names (``bin_lstm.{k}.{fwd|bwd}.{w|u|b}_{i|f|o|g}``,
+``bin_context.{k}``, ...) are views into the same vector.
 
 A pass that no backward pass follows (scoring, validation, attention
 maps) runs with ``grad=False``: both scans then keep no per-step gates or
@@ -230,9 +231,9 @@ def _attend_steps(steps: Tensor, contexts: Tensor) -> tuple[np.ndarray, Tensor]:
 
     ``contexts`` is (1, d_h), one context shared by every sequence, or
     (K, d_h), one per sequence. Scores are context dot products,
-    normalized over the T steps by the max-subtracted softmax. Returns the
-    (T, K, B) weights (values only) and the (K, d_h, B) weighted sums as
-    one graph node.
+    normalized over the T steps by :func:`logits_to_probs`. Returns the
+    (T, K, B) weights (values only) and the weighted sums as one (K·d_h, B)
+    graph node, sequence k in rows k·d_h to (k+1)·d_h.
     """
     hd = steps.data
     _, n_k, n_h, _ = hd.shape
@@ -240,12 +241,11 @@ def _attend_steps(steps: Tensor, contexts: Tensor) -> tuple[np.ndarray, Tensor]:
     if ctx.ndim != 2 or ctx.shape[1] != n_h or ctx.shape[0] not in (1, n_k):
         raise DimensionError(f"contexts of shape {ctx.shape} do not match "
                              f"{n_k} sequences of height {n_h}")
-    scores = (hd * ctx[:, :, None]).sum(axis=2)                          # (T, K, B)
-    e = np.exp(scores - scores.max(axis=0))
-    weights = e / e.sum(axis=0)
+    weights = logits_to_probs((hd * ctx[:, :, None]).sum(axis=2))         # (T, K, B)
     pooled = (hd * weights[:, :, None, :]).sum(axis=0)                   # (K, d_h, B)
 
     def bwd(adj):
+        adj = adj.reshape(pooled.shape)
         dw = (hd * adj).sum(axis=2)
         ds = weights * (dw - (dw * weights).sum(axis=0))
         dh = weights[:, :, None, :] * adj + ctx[:, :, None] * ds[:, :, None, :]
@@ -254,20 +254,22 @@ def _attend_steps(steps: Tensor, contexts: Tensor) -> tuple[np.ndarray, Tensor]:
             dctx = dctx.sum(axis=0, keepdims=True)
         return dh, dctx
 
-    return weights, ad.custom(pooled, "attention_pool", (steps, contexts), bwd)
+    return weights, ad.custom(pooled.reshape(n_k * n_h, -1), "attention_pool",
+                              (steps, contexts), bwd)
 
 
 def _mark_sequence(pooled: Tensor, order: tuple[int, ...]) -> Tensor:
-    """Reorder the (M, d_h, B) mark summaries into the (M, 1, d_h, B)
+    """Reorder the (M·d_h, B) mark summaries into the (M, 1, d_h, B)
     sequence the mark-level encoder reads."""
     idx = list(order)
+    by_mark = pooled.data.reshape(len(idx), -1, pooled.data.shape[1])    # (M, d_h, B)
 
     def bwd(adj):
-        g = np.empty_like(pooled.data)
+        g = np.empty_like(by_mark)
         g[idx] = adj[:, 0]
-        return (g,)
+        return (g.reshape(pooled.data.shape),)
 
-    return ad.custom(pooled.data[idx][:, None], "mark_sequence", (pooled,), bwd)
+    return ad.custom(by_mark[idx][:, None], "mark_sequence", (pooled,), bwd)
 
 
 def _final_states(encoded: Tensor, d: int) -> Tensor:
@@ -301,7 +303,6 @@ def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
     if x.ndim != 3 or x.shape[1:] != (cfg.n_marks, cfg.n_bins):
         raise DimensionError(
             f"input shape {x.shape} does not match (B, {cfg.n_marks}, {cfg.n_bins})")
-    n_b, n_m, _ = x.shape
     leaves = {name: Tensor(block) for name, block in params.blocks.items()}
     clf_w, clf_b = leaves["classifier.w"], leaves["classifier.b"]
     per_mark = cfg.variant in PER_MARK_VARIANTS
@@ -317,26 +318,27 @@ def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
 
     weights, pooled = _attend_steps(encoded, leaves["bin_context"])
     alphas = weights.transpose(1, 0, 2)                                  # (K, T, B)
-    d2 = 2 * cfg.d
     if cfg.variant == "lstm-attn":
-        logits = ad.affine(clf_w, ad.reshape(pooled, (d2, n_b)), clf_b)
+        logits = ad.affine(clf_w, pooled, clf_b)
         return BatchForward(logits, alphas, None, leaves, inputs)
 
     if cfg.variant == "lstm-alpha":
-        stacked = ad.reshape(pooled, (n_m * d2, n_b))
-        hidden = ad.tanh(ad.affine(leaves["hidden.w"], stacked, leaves["hidden.b"]))
+        hidden = ad.tanh(ad.affine(leaves["hidden.w"], pooled, leaves["hidden.b"]))
         logits = ad.affine(clf_w, hidden, clf_b)
         return BatchForward(logits, alphas, None, leaves, inputs)
 
     encoded_marks = bilstm_encode_steps(_mark_sequence(pooled, cfg.order), leaves["mark_lstm"],
                                         keep=grad, param_grad=param_grad)
     betas, gene_vec = _attend_steps(encoded_marks, leaves["mark_context"])
-    logits = ad.affine(clf_w, ad.reshape(gene_vec, (2 * cfg.d_hm, n_b)), clf_b)
+    logits = ad.affine(clf_w, gene_vec, clf_b)
     return BatchForward(logits, alphas, betas[:, 0], leaves, inputs)
 
 
 def logits_to_probs(logits: np.ndarray) -> np.ndarray:
-    """Column-wise stable softmax of a (2, B) logit array."""
+    """Softmax over axis 0 with max-subtraction for stability: the class
+    probabilities of a (2, B) logit array, or attention weights over the
+    leading step axis. The subtracted maximum makes shifting by the
+    (exactly representable) negated maximum a bit-exact no-op."""
     e = np.exp(logits - logits.max(axis=0, keepdims=True))
     return e / e.sum(axis=0, keepdims=True)
 
@@ -359,11 +361,25 @@ def labels_to_class_indices(labels) -> np.ndarray:
 
 
 def nll_loss_batch(logits: Tensor, labels) -> Tensor:
-    """Mean negative log-likelihood of the true classes, on the graph."""
+    """Mean negative log-likelihood of the true classes of a (2, B) logit
+    node, as one graph node. An exact-zero true-class probability gives an
+    infinite loss, which the training loop reports."""
     idx = labels_to_class_indices(labels)
-    probs = ad.softmax(logits)
-    picked = ad.pick_cols(probs, idx)
-    return ad.scale(ad.sum_all(ad.log(picked)), -1.0 / idx.size)
+    if logits.data.ndim != 2 or len(logits.data) != 2 or idx.shape != (logits.data.shape[1],) \
+            or not idx.size:
+        raise DimensionError(f"labels {idx.shape} do not match logits {logits.data.shape}")
+    probs = logits_to_probs(logits.data)
+    cols = np.arange(idx.size)
+    picked = probs[idx, cols]
+    scale = -1.0 / idx.size
+
+    def bwd(adj):
+        g = np.zeros_like(probs)
+        g[idx, cols] = float(adj * scale) / picked
+        return (probs * (g - (g * probs).sum(axis=0, keepdims=True)),)
+
+    with np.errstate(divide="ignore"):
+        return ad.custom(np.log(picked).sum() * scale, "nll", (logits,), bwd)
 
 
 def collect_input_gradients(bf: BatchForward, cfg: ModelConfig) -> np.ndarray:
@@ -413,7 +429,7 @@ def _read_header(path: str, head: bytes) -> tuple[ModelConfig, int, list[tuple[s
 
     try:
         header = json.loads(head.decode("utf-8"))
-    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError alike
+    except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, or nested too deep
         raise bad(f"not UTF-8 JSON ({err})") from None
     if not isinstance(header, dict) or set(header) != {"blocks", "config", "seed"}:
         raise bad("expected exactly the keys blocks, config, seed")

@@ -113,15 +113,13 @@ def test_criterion_03_attention_validity():
         checked += x.shape[0]
     assert checked == 1000
 
-    # softmax shift invariance, bit-exact: subtracting the maximum is an
-    # exact float operation, and on a dyadic grid so is an integer shift
-    # softmax normalizes columns: 1000 random ones, then 200 on the grid
+    # shift invariance of the softmax both attention levels use, bit-exact:
+    # subtracting the maximum is an exact float operation, and on a dyadic
+    # grid so is an integer shift; 1000 random columns, then 200 on the grid
     z = rng.normal(size=(12, 1000))
-    assert np.array_equal(ad.softmax(ad.Tensor(z)).data,
-                          ad.softmax(ad.Tensor(z - z.max(axis=0))).data)
+    assert np.array_equal(logits_to_probs(z), logits_to_probs(z - z.max(axis=0)))
     grid = rng.integers(-64, 64, size=(10, 200)) / 16.0
-    assert np.array_equal(ad.softmax(ad.Tensor(grid)).data,
-                          ad.softmax(ad.Tensor(grid + 7.0)).data)
+    assert np.array_equal(logits_to_probs(grid), logits_to_probs(grid + 7.0))
     report(3, "attention validity")
 
 

@@ -2,15 +2,18 @@ import contextlib
 import io
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _checkpoint_fuzz import corrupted
+from trackattn import metrics
 from trackattn.cli import TRAIN_DEFAULTS, main
 from trackattn.data import load_dataset, load_relevance, read_map_csv
-from trackattn.model import load_checkpoint, save_checkpoint
+from trackattn.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 
 
 def run(*argv):
@@ -88,7 +91,7 @@ def test_train_checkpoint_reloads_bit_exactly(ws, tmp_path):
     cfg, seed, params = load_checkpoint(ckpt)
     resaved = str(tmp_path / "resaved.ckpt")
     save_checkpoint(resaved, cfg, seed, params)
-    assert open(ckpt, "rb").read() == open(resaved, "rb").read()
+    assert Path(ckpt).read_bytes() == Path(resaved).read_bytes()
 
 
 def test_train_rerun_is_byte_identical(ws):
@@ -185,7 +188,7 @@ def test_eval_writes_metrics_report(ws, tmp_path):
     assert run("eval", "--checkpoint", str(ws / "run" / "checkpoint.ckpt"),
                "--dataset", str(ws / "data" / "dataset.csv"),
                "--part", "test", "--out", report) == 0
-    data = json.loads(open(report).read())
+    data = json.loads(Path(report).read_text())
     assert 0.0 <= data["auc"] <= 1.0
     assert data["n"] == 100
     assert set(data["class_counts"]) == {"positive", "negative"}
@@ -229,7 +232,7 @@ def test_eval_untrained_model_near_chance(ws, tmp_path):
     assert run("eval", "--checkpoint", str(tmp_path / "fresh" / "checkpoint.ckpt"),
                "--dataset", str(tmp_path / "null" / "dataset.csv"),
                "--out", report) == 0
-    assert abs(json.loads(open(report).read())["auc"] - 0.5) <= 0.1
+    assert abs(json.loads(Path(report).read_text())["auc"] - 0.5) <= 0.1
 
 
 def test_attend_exports_and_correlation(ws, tmp_path):
@@ -243,7 +246,7 @@ def test_attend_exports_and_correlation(ws, tmp_path):
     assert alpha.shape == (3, 20)
     np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
 
-    beta_lines = open(os.path.join(out, "beta.csv")).read().strip().split("\n")
+    beta_lines = Path(out, "beta.csv").read_text().strip().split("\n")
     assert beta_lines[0] == "mark,beta_mean"
     beta = np.array([float(l.split(",")[1]) for l in beta_lines[1:]])
     assert beta.sum() == pytest.approx(1.0, abs=1e-6)
@@ -251,7 +254,7 @@ def test_attend_exports_and_correlation(ws, tmp_path):
     sal = read_map_csv(os.path.join(out, "saliency.csv"))
     assert sal.shape == (3, 20) and (sal >= 0).all()
 
-    corr_lines = open(os.path.join(out, "correlation.csv")).read().strip().split("\n")
+    corr_lines = Path(out, "correlation.csv").read_text().strip().split("\n")
     assert corr_lines[0] == "mark,pearson_r"
     r_informative = float(corr_lines[1].split(",")[1])
     assert r_informative >= 0.5
@@ -277,7 +280,7 @@ BAD_SIDECARS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_SIDECARS))
 def test_attend_rejects_malformed_reference(ws, tmp_path, capsys, case):
-    good = open(ws / "data" / "relevance.csv").read().split("\n", 1)[1]
+    good = (ws / "data" / "relevance.csv").read_text().split("\n", 1)[1]
     rows, line = BAD_SIDECARS[case]
     sidecar = tmp_path / "rel.csv"
     sidecar.write_text("mark,bin,relevance\n" + rows.format(good=good))
@@ -288,6 +291,24 @@ def test_attend_rejects_malformed_reference(ws, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "Traceback" not in err
     assert f"line {line}:" in err if line else "does not cover attention" in err
+    assert not out.exists()
+
+
+def test_attend_refuses_a_short_reference_before_the_model_pass(ws, tmp_path, capsys,
+                                                              monkeypatch):
+    def model_pass(*args, **kwargs):
+        raise AssertionError("the model ran before the reference was checked")
+
+    monkeypatch.setattr(metrics, "mean_saliency", model_pass)
+    monkeypatch.setattr(metrics, "mean_attention", model_pass)
+    sidecar = tmp_path / "rel.csv"
+    sidecar.write_text("mark,bin,relevance\n0,3,1.0\n")      # one row for three marks
+    out = tmp_path / "maps"
+    assert run("attend", "--checkpoint", str(ws / "run" / "checkpoint.ckpt"),
+               "--dataset", str(ws / "data" / "dataset.csv"), "--class", "on",
+               "--out", str(out), "--reference", str(sidecar)) == 3
+    assert capsys.readouterr().err == (
+        "data error: reference shape (1, 4) does not cover attention (3, 20)\n")
     assert not out.exists()
 
 
@@ -337,7 +358,7 @@ def test_eval_and_attend_reruns_are_byte_identical(ws, tmp_path):
     for r in reports:
         assert run("eval", "--checkpoint", ckpt, "--dataset", dataset,
                    "--part", "test", "--out", r) == 0
-    assert open(reports[0], "rb").read() == open(reports[1], "rb").read()
+    assert Path(reports[0]).read_bytes() == Path(reports[1]).read_bytes()
 
     maps = [str(tmp_path / f"maps{i}") for i in (1, 2)]
     for m in maps:
@@ -345,8 +366,8 @@ def test_eval_and_attend_reruns_are_byte_identical(ws, tmp_path):
                    "--class", "on", "--out", m,
                    "--reference", str(ws / "data" / "relevance.csv")) == 0
     for name in ("alpha.csv", "beta.csv", "saliency.csv", "correlation.csv"):
-        a = open(os.path.join(maps[0], name), "rb").read()
-        b = open(os.path.join(maps[1], name), "rb").read()
+        a = Path(maps[0], name).read_bytes()
+        b = Path(maps[1], name).read_bytes()
         assert a == b, name
 
 
@@ -433,7 +454,7 @@ def test_mark_restriction_through_cli(ws, tmp_path):
     assert run("eval", "--checkpoint", str(tmp_path / "single" / "checkpoint.ckpt"),
                "--dataset", str(ws / "data" / "dataset.csv"),
                "--marks", "0", "--part", "test", "--out", report) == 0
-    assert 0.0 <= json.loads(open(report).read())["auc"] <= 1.0
+    assert 0.0 <= json.loads(Path(report).read_text())["auc"] <= 1.0
     # without restriction the shapes no longer match
     assert run("eval", "--checkpoint", str(tmp_path / "single" / "checkpoint.ckpt"),
                "--dataset", str(ws / "data" / "dataset.csv"),
@@ -462,7 +483,7 @@ def test_attend_rejects_attention_free_variant(ws, tmp_path, capsys):
 
 
 def _rewrite_checkpoint(src, dst, edit_header=None, edit_body=None):
-    magic, head, body = open(src, "rb").read().split(b"\n", 2)
+    magic, head, body = Path(src).read_bytes().split(b"\n", 2)
     if edit_header is not None:
         header = json.loads(head)
         head = edit_header(header)
@@ -473,6 +494,9 @@ def _rewrite_checkpoint(src, dst, edit_header=None, edit_body=None):
     with open(dst, "wb") as fh:
         fh.write(magic + b"\n" + head + b"\n" + body)
 
+
+# a header json.loads gives up on with RecursionError rather than ValueError
+NESTED_JSON = b"[" * 100_000 + b"]" * 100_000
 
 MALFORMED_HEADERS = {
     "missing_seed": lambda h: h.pop("seed"),
@@ -486,6 +510,7 @@ MALFORMED_HEADERS = {
     "undecodable_utf8": lambda h: b"\xff\xfe{",
     "undecodable_json": lambda h: b'{"config": ',
     "header_not_object": lambda h: b"[1, 2]",
+    "nested_too_deeply": lambda h: NESTED_JSON,
 }
 
 
@@ -632,3 +657,21 @@ def test_train_with_arbitrary_config_text_exits_cleanly(tiny, lines):
         "train", "--config", str(config), "--set", f"dataset={root}/data/dataset.csv",
         "--set", f"out_dir={root}/fuzz-run", "--set", "max_epochs=1", "--set", "d=2",
         "--set", "d_hm=2"))
+
+
+@settings(max_examples=100)
+@given(data=st.data(), whole=st.none())
+@example(data=None, whole=CHECKPOINT_MAGIC + b"\n" + NESTED_JSON)
+def test_corrupted_checkpoint_through_eval_and_attend_exits_cleanly(tiny, data, whole):
+    # the loader fuzz's truncations, extensions and byte flips, run through
+    # both commands that read a checkpoint; ``whole`` replaces the file
+    # outright in explicit examples
+    root, predicted = tiny
+    path = root / "fuzz.ckpt"
+    if whole is None:
+        whole = data.draw(corrupted((root / "run" / "checkpoint.ckpt").read_bytes()))
+    path.write_bytes(whole)
+    common = ("--checkpoint", str(path), "--dataset", str(root / "data" / "dataset.csv"))
+    assert_clean_exit(*_quiet_run("eval", *common, "--out", str(root / "fuzz-metrics.json")))
+    assert_clean_exit(*_quiet_run("attend", *common, "--class", predicted,
+                                  "--out", str(root / "fuzz-ckpt-maps")))

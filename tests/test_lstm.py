@@ -106,11 +106,11 @@ def test_step_gradients_match_finite_differences():
     weights = rng.normal(size=(4, 2, 6, 3))
 
     def run(xv, av):
-        return ad.sum_all(ad.hadamard(scan(xv, av), Tensor(weights)))
+        return float((scan(xv, av).data * weights).sum())
 
     x_leaf, a_leaf = Tensor(x), Tensor(a)
-    ad.backward(ad.sum_all(ad.hadamard(bilstm_encode_steps(x_leaf, a_leaf), Tensor(weights))))
-    num_x, num_a = finite_diff(lambda *arrs: float(run(*arrs).data), [x, a])
+    ad.backward(bilstm_encode_steps(x_leaf, a_leaf), weights)
+    num_x, num_a = finite_diff(run, [x, a])
     assert_grads_match(x_leaf.adjoint, num_x, label="input")
     assert a_leaf.adjoint.shape == a.shape
     for s, q in np.ndindex(4, 4):
@@ -121,9 +121,9 @@ def test_step_gradients_match_finite_differences():
 
 def test_scan_backward_runs_once():
     out = scan(np.ones((3, 1, 1, 2)), random_stack(np.random.default_rng(3), 1, 1, 2))
-    ad.backward(ad.sum_all(out))
+    ad.backward(out, np.ones_like(out.data))
     with pytest.raises(ContractError):
-        ad.backward(ad.sum_all(out))
+        ad.backward(out, np.ones_like(out.data))
 
 
 def test_scan_mark_batched_equals_one_at_a_time():
@@ -136,7 +136,7 @@ def test_scan_mark_batched_equals_one_at_a_time():
     def encode_grads(xk, ak, w):
         x_leaf, a_leaf = Tensor(xk), Tensor(ak)
         out = bilstm_encode_steps(x_leaf, a_leaf)
-        ad.backward(ad.sum_all(ad.hadamard(out, Tensor(w))))
+        ad.backward(out, w)
         return out.data, x_leaf.adjoint, a_leaf.adjoint
 
     stacked, dx, da = encode_grads(x, a, weights)
@@ -167,7 +167,7 @@ def test_sigmoid_saturates_without_overflow():
     x, a = Tensor(np.ones((2, 1, 1, 1))), Tensor(a)
     with np.errstate(all="raise"):
         out = bilstm_encode_steps(x, a)
-        ad.backward(ad.sum_all(out))
+        ad.backward(out, np.ones_like(out.data))
     # unit 0: i = f = o = g = 1, so c_t = t and h_t = tanh(t); unit 1: i = 0
     np.testing.assert_array_equal(out.data[:, 0, :2, 0], [[np.tanh(1.0), 0.0],
                                                           [np.tanh(2.0), 0.0]])
@@ -231,11 +231,11 @@ def test_encode_full_sequence_gradients():
     weights = rng.normal(size=(5, 1, 6, 1))
 
     def run(av):
-        return ad.sum_all(ad.hadamard(scan(x, av), Tensor(weights)))
+        return float((scan(x, av).data * weights).sum())
 
     a_leaf = Tensor(a)
-    ad.backward(ad.sum_all(ad.hadamard(bilstm_encode_steps(Tensor(x), a_leaf), Tensor(weights))))
-    (numeric,) = finite_diff(lambda av: float(run(av).data), [a])
+    ad.backward(bilstm_encode_steps(Tensor(x), a_leaf), weights)
+    (numeric,) = finite_diff(run, [a])
     assert_grads_match(a_leaf.adjoint, numeric)
 
 

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,7 +313,7 @@ def test_mean_saliency_keeps_one_batch_of_input_only_buffers():
 def test_metrics_report_schema(tmp_path):
     path = str(tmp_path / "report.json")
     write_metrics_report(path, ScoredSet([0.9, 0.2, 0.8, 0.4], [1, -1, 1, -1]))
-    report = json.loads(open(path).read())
+    report = json.loads(Path(path).read_text())
     assert report["auc"] == 1.0
     assert report["n"] == 4
     assert report["class_counts"] == {"positive": 2, "negative": 2}

@@ -3,10 +3,12 @@ import json
 import math
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _checkpoint_fuzz import corrupted
 from _gradcheck import assert_grads_match, finite_diff, finite_diff_entries, max_rel_error
 from _oracle import straight_line_forward
 from trackattn import autodiff as ad
@@ -215,7 +217,7 @@ def test_tape_free_pass_records_no_scan_node(variant):
     bf = forward_batch(x, params, cfg, grad=False)
     assert "bilstm_scan" not in graph_ops(bf.logits)
     # nothing below the scans is reachable: no gradient for inputs or LSTMs
-    ad.backward(ad.sum_all(bf.logits))
+    ad.backward(bf.logits, np.ones_like(bf.logits.data))
     assert bf.inputs.adjoint is None
     assert all(leaf.adjoint is None for name, leaf in bf.leaves.items() if "lstm" in name)
 
@@ -230,7 +232,9 @@ def test_input_only_backward_gives_the_same_input_gradient_bits(variant, share):
 
     def input_gradients(param_grad):
         bf = forward_batch(x, params, cfg, param_grad=param_grad)
-        ad.backward(ad.sum_all(ad.pick_cols(bf.logits, np.argmax(bf.logits.data, axis=0))))
+        seed = np.zeros_like(bf.logits.data)
+        seed[np.argmax(bf.logits.data, axis=0), np.arange(x.shape[0])] = 1.0
+        ad.backward(bf.logits, seed)
         return bf, collect_input_gradients(bf, cfg)
 
     full, full_grads = input_gradients(True)
@@ -251,7 +255,9 @@ def test_input_gradients_land_on_their_sample_mark_and_bin(variant):
     rng = np.random.default_rng(72)
     x = rng.normal(size=(3, cfg.n_marks, cfg.n_bins))
     bf = forward_batch(x, params, cfg)
-    ad.backward(ad.sum_all(ad.pick_cols(bf.logits, np.ones(3, dtype=int))))
+    seed = np.zeros((2, 3))
+    seed[1] = 1.0
+    ad.backward(bf.logits, seed)
     grads = collect_input_gradients(bf, cfg)
     assert grads.shape == x.shape
 
@@ -270,14 +276,14 @@ def test_attention_pool_gradients_match_finite_differences(n_contexts):
     rng = np.random.default_rng(91)
     steps = rng.normal(size=(4, 3, 2, 5))
     contexts = rng.normal(size=(n_contexts, 2))
-    mix = rng.normal(size=(3, 2, 5))
+    mix = rng.normal(size=(6, 5))             # the (K·d_h, B) pooled rows
 
     def run(h, c):
         return float((_attend_steps(Tensor(h), Tensor(c))[1].data * mix).sum())
 
     leaves = [Tensor(steps), Tensor(contexts)]
     weights, pooled = _attend_steps(*leaves)
-    ad.backward(ad.sum_all(ad.hadamard(pooled, Tensor(mix))))
+    ad.backward(pooled, mix)
     np.testing.assert_allclose(weights.sum(axis=0), 1.0, atol=1e-15)
     numeric = finite_diff(run, [steps, contexts])
     for leaf, num in zip(leaves, numeric):
@@ -292,10 +298,14 @@ def graph_nodes(root):
     return len(graph_ops(root))
 
 
+STEP_NODES = {"lstm": 8, "lstm-attn": 9, "lstm-alpha": 13, "lstm-alpha-beta": 14}
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_training_step_graph_stays_small(variant):
-    # one leaf per fused parameter block, one scan node per encoder and one
-    # pool node per attention level: the count grows with neither T, B nor M
+    # one leaf per fused parameter block plus the input leaf, one scan node
+    # per encoder, one pool node per attention level, the head's affine (and
+    # tanh) nodes and one loss node: the count grows with neither T, B nor M
     def step_nodes(n_marks):
         cfg = ModelConfig(n_marks=n_marks, n_bins=12, variant=variant)
         x = np.random.default_rng(81).normal(size=(16, n_marks, 12))
@@ -303,8 +313,7 @@ def test_training_step_graph_stays_small(variant):
         return graph_nodes(nll_loss_batch(forward_batch(x, init_params(cfg, seed=0), cfg).logits,
                                           labels))
 
-    assert step_nodes(5) <= 20
-    assert step_nodes(2) == step_nodes(5)
+    assert step_nodes(5) == step_nodes(2) == STEP_NODES[variant]
 
 
 def test_loss_examples():
@@ -314,6 +323,37 @@ def test_loss_examples():
         math.log(2), abs=1e-15)
     with pytest.raises(ContractError):
         nll_loss_batch(Tensor([[0.0], [0.0]]), [0])
+    # one label per column of a (2, B) logit matrix, and at least one column
+    for logits, labels in ((np.zeros((2, 2)), [1]), (np.zeros((2, 0)), []), (np.zeros(2), [1])):
+        with pytest.raises(DimensionError):
+            nll_loss_batch(Tensor(logits), labels)
+    # an exact-zero true-class probability is an infinite loss, warning-free
+    with np.errstate(divide="raise", invalid="raise"):
+        assert float(nll_loss_batch(Tensor([[0.0], [-800.0]]), [1]).data) == np.inf
+
+
+def test_fused_loss_matches_five_step_composition_bits():
+    # the loss node gives the value and logits adjoint of the composition
+    # softmax -> gather true class -> log -> sum -> scale by -1/B, with its
+    # backward steps in the same order: fill, divide, scatter, then the
+    # softmax Jacobian product
+    rng = np.random.default_rng(37)
+    for n_b in (1, 5, 16):
+        z = rng.normal(scale=3.0, size=(2, n_b))
+        labels = np.where(rng.random(n_b) < 0.5, -1, 1)
+        idx, cols, c = (labels + 1) // 2, np.arange(n_b), -1.0 / n_b
+        e = np.exp(z - z.max(axis=0, keepdims=True))
+        s = e / e.sum(axis=0, keepdims=True)
+        value = np.log(s[idx, cols]).sum() * c
+        g = np.zeros_like(s)
+        g[idx, cols] = np.full(n_b, c) / s[idx, cols]
+        adjoint = s * (g - (g * s).sum(axis=0, keepdims=True))
+
+        logits = Tensor(z)
+        root = nll_loss_batch(logits, labels)
+        ad.backward(root)
+        assert root.data == value and root.op == "nll" and root.parents == (logits,)
+        assert np.array_equal(logits.adjoint, adjoint)
 
 
 def test_nll_gradient_is_softmax_minus_onehot():
@@ -404,11 +444,11 @@ def componentwise_forward(x, params, cfg, shift_mark0=None):
             context = np.append(context, 1.0)
         weights, pooled = _attend_steps(Tensor(h), Tensor(context[None]))
         alphas.append(weights[:, 0, 0])
-        summaries.append(pooled.data[:, :2 * cfg.d])
+        summaries.append(pooled.data[None, :2 * cfg.d])
     seq = np.stack([summaries[j] for j in cfg.order])                   # (M, 1, 2d, 1)
     s = bilstm_encode_steps(Tensor(seq), Tensor(blocks["mark_lstm"]))
     beta_seq, gene_vec = _attend_steps(s, Tensor(blocks["mark_context"]))
-    logits = ad.affine(Tensor(blocks["classifier.w"]), Tensor(gene_vec.data[0]),
+    logits = ad.affine(Tensor(blocks["classifier.w"]), Tensor(gene_vec.data),
                        Tensor(blocks["classifier.b"]))
     probs = logits_to_probs(logits.data)[:, 0]
     return probs, np.stack(alphas), beta_seq[:, 0, 0]
@@ -539,7 +579,7 @@ def test_checkpoint_bytes_are_deterministic(tmp_path):
     p1, p2 = os.path.join(tmp_path, "a"), os.path.join(tmp_path, "b")
     save_checkpoint(p1, cfg, 1, params)
     save_checkpoint(p2, cfg, 1, params)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -554,7 +594,7 @@ def test_checkpoint_rejects_truncation(tmp_path):
     cfg = tiny_cfg()
     path = os.path.join(tmp_path, "trunc")
     save_checkpoint(path, cfg, 1, init_params(cfg, seed=1))
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     with open(path, "wb") as fh:
         fh.write(blob[:-16])
     with pytest.raises(ContractError):
@@ -568,7 +608,7 @@ def test_checkpoint_header_cannot_demand_memory(tmp_path, edit):
     cfg = ModelConfig(n_marks=5, n_bins=100, d=8, d_hm=16, variant="lstm-alpha-beta")
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(path, cfg, 3, init_params(cfg, seed=3))
-    magic, head, body = open(path, "rb").read().split(b"\n", 2)
+    magic, head, body = Path(path).read_bytes().split(b"\n", 2)
     header = json.loads(head)
     header["config"].update(edit)
     with open(path, "wb") as fh:
@@ -602,7 +642,7 @@ def test_checkpoint_bytes_match_recorded_digest(tmp_path, variant, share, order,
     cfg = tiny_cfg(variant, share_bin_context=share, mark_order=order)
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(path, cfg, 5, init_params(cfg, seed=5))
-    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
+    assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")
@@ -610,21 +650,7 @@ def valid_checkpoint(tmp_path_factory):
     cfg = tiny_cfg(share_bin_context=False, mark_order=(2, 0, 1))
     path = str(tmp_path_factory.mktemp("fuzz") / "model.ckpt")
     save_checkpoint(path, cfg, 5, init_params(cfg, seed=5))
-    return path, open(path, "rb").read()
-
-
-@st.composite
-def corrupted(draw, blob):
-    out = bytearray(blob)
-    kind = draw(st.sampled_from(["truncate", "extend", "flip"]))
-    if kind == "truncate":
-        del out[draw(st.integers(0, len(out) - 1)):]
-    elif kind == "extend":
-        out += draw(st.binary(min_size=1, max_size=64))
-    else:
-        for _ in range(draw(st.integers(1, 8))):
-            out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
-    return bytes(out)
+    return path, Path(path).read_bytes()
 
 
 @settings(max_examples=300)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -191,7 +193,7 @@ def test_history_export_round_trips(tmp_path):
     _, history = train(cfg, small_mcfg(), train_ds, val_ds)
     path = str(tmp_path / "history.csv")
     write_history(path, history)
-    lines = open(path).read().strip().split("\n")
+    lines = Path(path).read_text().strip().split("\n")
     assert lines[0] == "epoch,train_loss,val_auc"
     assert len(lines) == len(history.epochs) + 1
     for line, stats in zip(lines[1:], history.epochs):
