@@ -14,17 +14,16 @@ from .data import (Dataset, SynthSpec, binarize_labels, load_dataset, restrict_m
                    save_dataset, split, synth_generate)
 from .metrics import (MeanAttentionMap, ScoredSet, auc, f1, mean_attention, mean_saliency,
                       pearson, score_dataset)
-from .model import (ModelConfig, ParameterStore, extract_profiles, forward_batch,
-                    init_params, load_checkpoint, logits_to_probs, save_checkpoint)
+from .model import (ModelConfig, ParameterStore, forward_batch, init_params, load_checkpoint,
+                    logits_to_probs, save_checkpoint)
 from .training import TrainConfig, TrainHistory, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "MeanAttentionMap", "ModelConfig", "ParameterStore", "ScoredSet",
-    "SynthSpec", "TrainConfig", "TrainHistory", "auc", "binarize_labels",
-    "extract_profiles", "f1", "forward_batch", "init_params", "load_checkpoint",
-    "load_dataset", "logits_to_probs", "mean_attention", "mean_saliency", "pearson",
-    "restrict_marks", "save_checkpoint", "save_dataset", "score_dataset", "split",
-    "synth_generate", "train",
+    "SynthSpec", "TrainConfig", "TrainHistory", "auc", "binarize_labels", "f1",
+    "forward_batch", "init_params", "load_checkpoint", "load_dataset", "logits_to_probs",
+    "mean_attention", "mean_saliency", "pearson", "restrict_marks", "save_checkpoint",
+    "save_dataset", "score_dataset", "split", "synth_generate", "train",
 ]

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical abort.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -25,10 +26,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-
-class _DataError(Exception):
-    """CLI-level data problem (missing file, shape mismatch)."""
 
 
 def _parse_bool(text: str) -> bool:
@@ -138,8 +135,6 @@ def _train_config(resolved: dict[str, str]) -> TrainConfig:
 
 
 def _load_labeled(path: str, n_bins: int, arcsinh: bool = False) -> data_mod.Dataset:
-    if not os.path.exists(path):
-        raise _DataError(f"dataset not found: {path}")
     return data_mod.binarize_labels(data_mod.load_dataset(path, n_bins, arcsinh=arcsinh))
 
 
@@ -207,10 +202,10 @@ def cmd_train(args) -> int:
     train_ds, val_ds = _split(dataset, resolved["split"], int(resolved["split_seed"]))[:2]
     del dataset  # the parts are copies; training holds only them
 
+    out_dir = resolved["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)  # an unusable path fails before the fit
     params, history = train(tcfg, mcfg, train_ds, val_ds)
 
-    out_dir = resolved["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(os.path.join(out_dir, "config.resolved"), config_echo_text(resolved))
     save_checkpoint(os.path.join(out_dir, "checkpoint.ckpt"), mcfg, tcfg.seed, params)
     write_history(os.path.join(out_dir, "history.csv"), history)
@@ -234,19 +229,19 @@ def _load_for_checkpoint(args, reference: str = "") -> tuple:
         marks = _mark_list(args.marks)
         dataset = data_mod.restrict_marks(dataset, marks)
     if dataset.n_marks != cfg.n_marks or dataset.n_bins != cfg.n_bins:
-        raise _DataError(
+        raise IngestionError(
             f"dataset shape ({dataset.n_marks}, {dataset.n_bins}) does not match "
             f"checkpoint ({cfg.n_marks}, {cfg.n_bins})")
     if args.part != "all":
         dataset = _split_part(dataset, args.split, args.split_seed, args.part)
         if len(dataset) == 0:
-            raise _DataError(f"split part {args.part!r} is empty")
+            raise IngestionError(f"split part {args.part!r} is empty")
     rows = None
     if reference:
         rows = data_mod.load_relevance(reference, (n_file_marks, cfg.n_bins))
         if marks is not None:
             if max(marks) >= len(rows):
-                raise _DataError(f"reference {reference} has no row for mark {max(marks)}")
+                raise IngestionError(f"reference {reference} has no row for mark {max(marks)}")
             rows = rows[marks]
     return cfg, params, dataset, rows
 
@@ -268,31 +263,28 @@ def cmd_attend(args) -> int:
     n_rows = cfg.n_marks if cfg.variant in PER_MARK_VARIANTS else 1
     if reference is not None and (reference.shape[0] < n_rows
                                   or reference.shape[1] != cfg.n_bins):
-        raise _DataError(
+        raise IngestionError(
             f"reference shape {reference.shape} does not cover attention "
             f"({n_rows}, {cfg.n_bins})")
 
+    os.makedirs(args.out, exist_ok=True)  # an unusable path fails before the model pass
     # one forward and one backward pass per batch serve both maps
     sums = metrics_mod.ClassSums()
     sal = metrics_mod.mean_saliency(dataset, params, cfg, predicted_class, sums=sums)
     attention = metrics_mod.mean_attention(dataset, params, cfg, predicted_class, sums=sums)
 
-    os.makedirs(args.out, exist_ok=True)
-    metrics_mod.write_map_csv(os.path.join(args.out, "alpha.csv"),
-                              attention.alpha_mean, "alpha_mean")
+    tables = {"alpha.csv": (attention.alpha_mean, "alpha_mean"),
+              "saliency.csv": (sal, "saliency")}
     if attention.beta_mean is not None:
-        metrics_mod.write_beta_csv(os.path.join(args.out, "beta.csv"), attention.beta_mean)
-    metrics_mod.write_map_csv(os.path.join(args.out, "saliency.csv"), sal, "saliency")
-
+        tables["beta.csv"] = (attention.beta_mean, "beta_mean")
     if reference is not None:
-        lines = ["mark,pearson_r"]
-        for m in range(attention.alpha_mean.shape[0]):
-            try:
-                r = repr(metrics_mod.pearson(attention.alpha_mean[m], reference[m]))
-            except MetricUndefinedError:
-                r = "nan"
-            lines.append(f"{m},{r}")
-        atomic_write_text(os.path.join(args.out, "correlation.csv"), "\n".join(lines) + "\n")
+        r = [float("nan")] * n_rows                    # nan where r is undefined
+        for m, row in enumerate(attention.alpha_mean):
+            with contextlib.suppress(MetricUndefinedError):
+                r[m] = metrics_mod.pearson(row, reference[m])
+        tables["correlation.csv"] = (r, "pearson_r")
+    for name, (values, column) in tables.items():
+        atomic_write_text(os.path.join(args.out, name), data_mod.map_to_csv(values, column))
 
     print(f"attention maps over {attention.n_samples} predicted-"
           f"{args.predicted_class} samples -> {args.out}")
@@ -353,7 +345,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IngestionError, MetricUndefinedError, _DataError, OSError) as err:
+    except (IngestionError, MetricUndefinedError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as err:

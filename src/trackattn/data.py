@@ -12,7 +12,8 @@ numpy's C reader, which reads them exactly as ``int()`` and ``float()``
 would; from the first block that is not plain to the end of the file,
 the ``csv`` module tokenises and ``int()``/``float()`` convert. Both
 give the same dataset and the same errors. ``mark,bin,<value>`` maps
-(relevance sidecars, attention and saliency maps) share one writer and
+(relevance sidecars, attention and saliency maps) and ``mark,<value>``
+per-mark tables (beta, correlations) share one writer; the maps share
 one reader.
 
 Synthetic datasets plant an additive effect in one mark over a bin
@@ -23,7 +24,6 @@ the planted ground truth is exported as a ``mark,bin,relevance`` sidecar.
 from __future__ import annotations
 
 import csv
-import io
 import os
 import warnings
 from collections.abc import Callable
@@ -589,13 +589,15 @@ def restrict_marks(dataset: Dataset, mark_indices) -> Dataset:
 
 
 def map_to_csv(values: np.ndarray, column: str) -> str:
-    """A (marks, bins) map as a ``mark,bin,<column>`` table, one row per cell."""
-    out = io.StringIO()
-    out.write(f"mark,bin,{column}\n")
-    for m in range(values.shape[0]):
-        for b in range(values.shape[1]):
-            out.write(f"{m},{b},{_fmt(values[m, b])}\n")
-    return out.getvalue()
+    """A (marks,) vector as a ``mark,<column>`` table, or a (marks, bins)
+    map as a ``mark,bin,<column>`` table, one row per cell."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim not in (1, 2):
+        raise ContractError(f"a map table holds a (marks,) or (marks, bins) array, "
+                            f"not shape {values.shape}")
+    head = "mark" if values.ndim == 1 else "mark,bin"
+    return f"{head},{column}\n" + "".join(
+        f"{','.join(map(str, cell))},{_fmt(v)}\n" for cell, v in np.ndenumerate(values))
 
 
 def read_map_csv(path: str, column: str | None = None,

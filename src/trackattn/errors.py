@@ -18,9 +18,10 @@ class ContractError(TrackAttnError, ValueError):
 
 
 class IngestionError(TrackAttnError, ValueError):
-    """An input file's content is malformed (a dataset or sidecar row, a
-    non-finite checkpoint payload); carries the offending line number
-    where there is one."""
+    """An input's content is malformed or does not fit the run (a dataset
+    or sidecar row, a non-finite checkpoint payload, a dataset or sidecar
+    shape the checkpoint does not match, an empty split part); carries the
+    offending line number where there is one."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:

@@ -1,4 +1,4 @@
-"""Classification metrics, attention-map extraction and saliency.
+"""Classification metrics, class-averaged attention maps and saliency.
 
 AUC uses the rank formulation with average ranks for tied scores, which
 is exact against brute-force pair counting (ties score one half). The
@@ -12,18 +12,16 @@ the differentiable target).
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import Dataset, map_to_csv
+from .data import Dataset
 from .errors import ContractError, MetricUndefinedError
 from .ioutil import atomic_write_text
-from .model import (ModelConfig, ParameterStore, collect_input_gradients, extract_profiles,
-                    forward_batch, logits_to_probs)
+from .model import ModelConfig, ParameterStore, forward_batch, logits_to_probs
 
 
 @dataclass
@@ -40,24 +38,17 @@ class ScoredSet:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.scores.shape != self.labels.shape or self.scores.ndim != 1:
             raise ContractError("scores and labels must be equal-length vectors")
-        if self.scores.size and (self.scores.min() < 0 or self.scores.max() > 1):
+        if not ((self.scores >= 0) & (self.scores <= 1)).all():
             raise ContractError("scores must lie in [0, 1]")
         if self.labels.size and not np.isin(self.labels, (-1, 1)).all():
             raise ContractError("labels must be -1 or +1")
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, tied values sharing their group's mean rank: a group
+    of c values ending at rank e holds ranks e - c + 1 .. e."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
 def auc(s: ScoredSet) -> float:
@@ -129,7 +120,6 @@ class MeanAttentionMap:
 
     alpha_mean: np.ndarray            # (n_rows, T)
     beta_mean: np.ndarray | None      # (M,) for the mark-attention variant
-    class_filter: int
     n_samples: int
 
 
@@ -162,17 +152,15 @@ def _add_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
     keep = (probs[1] > probs[0]) if predicted_class == 1 else (probs[1] <= probs[0])
     if not keep.any():
         return
-    alpha, beta = extract_profiles(bf, cfg)
-    if alpha is not None:
-        sums.alpha = _add(sums.alpha, alpha[:, :, keep].sum(axis=2))
-    if beta is not None:
-        sums.beta = _add(sums.beta, beta[:, keep].sum(axis=1))
+    if bf.alphas is not None:
+        sums.alpha = _add(sums.alpha, bf.alphas[:, :, keep].sum(axis=2))
+    if bf.betas is not None:
+        sums.beta = _add(sums.beta, bf.betas[:, keep].sum(axis=1))
     if saliency:
         seed = np.zeros_like(bf.logits.data)
         seed[np.argmax(bf.logits.data, axis=0), np.arange(keep.size)] = keep
         ad.backward(bf.logits, seed)
-        grads = collect_input_gradients(bf, cfg)
-        sums.saliency = _add(sums.saliency, np.abs(grads[keep]).sum(axis=0))
+        sums.saliency = _add(sums.saliency, np.abs(bf.input_gradient()[keep]).sum(axis=0))
     sums.count += int(keep.sum())
 
 
@@ -206,7 +194,7 @@ def mean_attention(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
                            saliency=False)
     return MeanAttentionMap(sums.alpha / sums.count,
                             None if sums.beta is None else sums.beta / sums.count,
-                            predicted_class, sums.count)
+                            sums.count)
 
 
 def mean_saliency(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
@@ -238,19 +226,3 @@ def write_metrics_report(path: str, scored: ScoredSet) -> None:
     n_neg = int((scored.labels == -1).sum())
     atomic_write_text(path, metrics_report_text(auc(scored), f1(scored),
                                                 scored.labels.size, n_pos, n_neg))
-
-
-def write_map_csv(path: str, values: np.ndarray, column: str) -> None:
-    atomic_write_text(path, map_to_csv(values, column))
-
-
-def beta_to_csv(beta: np.ndarray) -> str:
-    out = io.StringIO()
-    out.write("mark,beta_mean\n")
-    for m, v in enumerate(beta):
-        out.write(f"{m},{repr(float(v))}\n")
-    return out.getvalue()
-
-
-def write_beta_csv(path: str, beta: np.ndarray) -> None:
-    atomic_write_text(path, beta_to_csv(beta))

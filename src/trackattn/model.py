@@ -215,7 +215,7 @@ class BatchForward:
 
     logits: Tensor                       # (2, B)
     alphas: np.ndarray | None            # (n_rows, T, B): per mark, one joint row for lstm-attn
-    betas: np.ndarray | None             # (M, B), rows in mark-sequence order
+    betas: np.ndarray | None             # (M, B), rows in original mark order
     leaves: dict[str, Tensor]            # one parameter leaf per fused block
     inputs: Tensor                       # (T, M, 1, B) per mark, or (T, 1, M, B) joint
 
@@ -223,6 +223,16 @@ class BatchForward:
         """The parameter gradient after a backward pass, laid out like
         :attr:`ParameterStore.flat`."""
         return np.concatenate([leaf.adjoint.reshape(-1) for leaf in self.leaves.values()])
+
+    def input_gradient(self) -> np.ndarray:
+        """The (B, M, T) input gradient after a backward pass; zeros when
+        no gradient reached the inputs."""
+        n_bins, n_k, n_in, n = self.inputs.data.shape
+        adj = self.inputs.adjoint
+        if adj is None:
+            return np.zeros((n, n_k * n_in, n_bins))
+        # both input layouts flatten to (T, M, B)
+        return np.ascontiguousarray(adj.reshape(n_bins, n_k * n_in, n).transpose(2, 1, 0))
 
 
 def _attend_steps(steps: Tensor, contexts: Tensor) -> tuple[np.ndarray, Tensor]:
@@ -293,7 +303,8 @@ def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
 
     The bin level is one scan call over every mark (per-mark variants) or
     over the joint M-wide columns, and one attention pool over its output;
-    the mark level of lstm-alpha-beta is one more scan and pool. With
+    the mark level of lstm-alpha-beta is one more scan and pool, whose
+    weights come back as beta rows in original mark order. With
     ``grad=False`` (no backward pass follows) both scans run tape-free:
     the values are bit-identical, but no gradient reaches the inputs or
     the LSTM parameters. With ``param_grad=False`` a backward pass gives
@@ -329,9 +340,11 @@ def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
 
     encoded_marks = bilstm_encode_steps(_mark_sequence(pooled, cfg.order), leaves["mark_lstm"],
                                         keep=grad, param_grad=param_grad)
-    betas, gene_vec = _attend_steps(encoded_marks, leaves["mark_context"])
+    weights, gene_vec = _attend_steps(encoded_marks, leaves["mark_context"])
+    betas = np.empty_like(weights[:, 0])                                 # (M, B)
+    betas[list(cfg.order)] = weights[:, 0]
     logits = ad.affine(clf_w, gene_vec, clf_b)
-    return BatchForward(logits, alphas, betas[:, 0], leaves, inputs)
+    return BatchForward(logits, alphas, betas, leaves, inputs)
 
 
 def logits_to_probs(logits: np.ndarray) -> np.ndarray:
@@ -341,16 +354,6 @@ def logits_to_probs(logits: np.ndarray) -> np.ndarray:
     (exactly representable) negated maximum a bit-exact no-op."""
     e = np.exp(logits - logits.max(axis=0, keepdims=True))
     return e / e.sum(axis=0, keepdims=True)
-
-
-def extract_profiles(bf: BatchForward, cfg: ModelConfig) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Numpy attention maps from a forward pass: alpha (n_rows, T, B) and
-    beta (M, B) with beta rows restored to original mark order."""
-    beta = None
-    if bf.betas is not None:
-        beta = np.empty_like(bf.betas)
-        beta[list(cfg.order), :] = bf.betas
-    return bf.alphas, beta
 
 
 def labels_to_class_indices(labels) -> np.ndarray:
@@ -380,16 +383,6 @@ def nll_loss_batch(logits: Tensor, labels) -> Tensor:
 
     with np.errstate(divide="ignore"):
         return ad.custom(np.log(picked).sum() * scale, "nll", (logits,), bwd)
-
-
-def collect_input_gradients(bf: BatchForward, cfg: ModelConfig) -> np.ndarray:
-    """Assemble the (B, M, T) input gradients after a backward pass has
-    populated adjoints."""
-    adj = bf.inputs.adjoint
-    if adj is None:
-        return np.zeros((bf.logits.data.shape[1], cfg.n_marks, cfg.n_bins))
-    # both input layouts flatten to (T, M, B)
-    return np.ascontiguousarray(adj.reshape(cfg.n_bins, cfg.n_marks, -1).transpose(2, 1, 0))
 
 
 # ------------------------------------------------------------- checkpoints

@@ -57,12 +57,6 @@ class TrainConfig:
         if self.optimizer not in OPTIMIZERS:
             raise ContractError(f"unknown optimizer {self.optimizer!r}; valid: {', '.join(OPTIMIZERS)}")
 
-    def to_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate, "batch_size": self.batch_size,
-                "max_epochs": self.max_epochs, "patience": self.patience,
-                "grad_clip_norm": self.grad_clip_norm, "seed": self.seed,
-                "optimizer": self.optimizer}
-
 
 @dataclass
 class EpochStats:

@@ -19,8 +19,8 @@ from trackattn.cli import main as cli_main
 from trackattn.data import Dataset, SynthSpec, restrict_marks, split, synth_generate
 from trackattn.metrics import (ScoredSet, auc, mean_attention, mean_saliency, pearson,
                                predict_probs)
-from trackattn.model import (ModelConfig, ParameterStore, extract_profiles, forward_batch,
-                             init_params, logits_to_probs, nll_loss_batch)
+from trackattn.model import (ModelConfig, ParameterStore, forward_batch, init_params,
+                             logits_to_probs, nll_loss_batch)
 from trackattn.training import TrainConfig, train
 
 TINY = ModelConfig(n_marks=3, n_bins=8, d=4, d_hm=3, variant="lstm-alpha-beta")
@@ -89,7 +89,7 @@ def test_criterion_02_forward_oracle():
     x = np.random.default_rng(202).normal(size=(20, TINY.n_marks, TINY.n_bins))
     bf = forward_batch(x, params, TINY, grad=False)
     probs = logits_to_probs(bf.logits.data)
-    alpha, beta = extract_profiles(bf, TINY)
+    alpha, beta = bf.alphas, bf.betas
     for b in range(x.shape[0]):
         ref = straight_line_forward(x[b], params, TINY)
         assert np.abs(probs[:, b] - ref["probs"]).max() < 1e-12
@@ -104,7 +104,8 @@ def test_criterion_03_attention_validity():
     for round_idx in range(20):
         params = init_params(TINY, seed=int(rng.integers(2**31)))
         x = np.abs(rng.normal(size=(50, TINY.n_marks, TINY.n_bins)))
-        alpha, beta = extract_profiles(forward_batch(x, params, TINY), TINY)
+        bf = forward_batch(x, params, TINY)
+        alpha, beta = bf.alphas, bf.betas
         for w in alpha:  # (T, B): columns are per-sample alpha rows
             assert (w >= 0).all()
             assert np.abs(w.sum(axis=0) - 1.0).max() <= 1e-9

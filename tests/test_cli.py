@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from _checkpoint_fuzz import corrupted
 from trackattn import metrics
 from trackattn.cli import TRAIN_DEFAULTS, main
-from trackattn.data import load_dataset, load_relevance, read_map_csv
+from trackattn.data import load_dataset, load_relevance, map_to_csv, read_map_csv
 from trackattn.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 
 
@@ -312,6 +312,35 @@ def test_attend_refuses_a_short_reference_before_the_model_pass(ws, tmp_path, ca
     assert not out.exists()
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the model work ran before the output path was made")
+
+
+def test_train_refuses_an_unusable_out_dir_before_the_fit(ws, tmp_path, capsys, monkeypatch):
+    from trackattn import cli
+
+    monkeypatch.setattr(cli, "train", _must_not_run)
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file\n")
+    assert run("train", "--config", str(ws / "train.cfg"), "--set", f"out_dir={taken}") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "File exists" in err and str(taken) in err
+    assert taken.read_text() == "a regular file\n"
+
+
+def test_attend_refuses_an_unusable_out_dir_before_the_model_pass(ws, tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.setattr(metrics, "mean_saliency", _must_not_run)
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file\n")
+    assert run("attend", "--checkpoint", str(ws / "run" / "checkpoint.ckpt"),
+               "--dataset", str(ws / "data" / "dataset.csv"), "--class", "on",
+               "--out", str(taken)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "File exists" in err and str(taken) in err
+    assert taken.read_text() == "a regular file\n"
+
+
 @pytest.fixture(scope="module")
 def marks_run(tmp_path_factory):
     """lstm-alpha trained on marks 1,0 of a dataset planted in mark 0."""
@@ -383,6 +412,7 @@ def test_attend_one_pass_matches_two_pass_maps(ws, tmp_path, monkeypatch):
     # the two-pass reference: each map runs the model over every batch itself
     attention = metrics.mean_attention(ds, params, cfg, 1)
     sal = metrics.mean_saliency(ds, params, cfg, 1)
+    # the per-mark tables written out by hand, not by the writer under test
     lines = ["mark,pearson_r"]
     for m, ref in enumerate(load_relevance(relevance)):
         try:
@@ -390,9 +420,10 @@ def test_attend_one_pass_matches_two_pass_maps(ws, tmp_path, monkeypatch):
         except MetricUndefinedError:
             lines.append(f"{m},nan")
     expected = {
-        "alpha.csv": metrics.map_to_csv(attention.alpha_mean, "alpha_mean"),
-        "beta.csv": metrics.beta_to_csv(attention.beta_mean),
-        "saliency.csv": metrics.map_to_csv(sal, "saliency"),
+        "alpha.csv": map_to_csv(attention.alpha_mean, "alpha_mean"),
+        "beta.csv": "mark,beta_mean\n" + "".join(
+            f"{m},{v!r}\n" for m, v in enumerate(attention.beta_mean.tolist())),
+        "saliency.csv": map_to_csv(sal, "saliency"),
         "correlation.csv": "\n".join(lines) + "\n",
     }
 

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gradcheck import finite_diff_entries
-from trackattn.data import Dataset, read_map_csv
+from trackattn.data import Dataset, map_to_csv, read_map_csv
 from trackattn.errors import ContractError, MetricUndefinedError
-from trackattn.metrics import (ScoredSet, auc, beta_to_csv, f1, map_to_csv, mean_attention,
-                               mean_saliency, metrics_report_text, pearson, predict_probs,
-                               score_dataset, write_map_csv, write_metrics_report)
-from trackattn.model import (ModelConfig, ParameterStore, extract_profiles, forward_batch,
-                             init_params, logits_to_probs)
+from trackattn.ioutil import atomic_write_text
+from trackattn.metrics import (ScoredSet, auc, f1, mean_attention, mean_saliency,
+                               metrics_report_text, pearson, predict_probs, score_dataset,
+                               write_metrics_report)
+from trackattn.model import (ModelConfig, ParameterStore, forward_batch, init_params,
+                             logits_to_probs)
 
 # ---------------------------------------------------------------------- auc
 
@@ -96,6 +97,15 @@ def test_scored_set_validation():
         ScoredSet([0.5], None)  # the labels of a dataset not yet binarized
 
 
+def test_nan_scores_are_refused_before_any_metric(tmp_path):
+    # NaN fails both "< 0" and "> 1", so the range check must ask for [0, 1]
+    report = tmp_path / "report.json"
+    for metric in (auc, f1, lambda s: write_metrics_report(str(report), s)):
+        with pytest.raises(ContractError, match=r"scores must lie in \[0, 1\]"):
+            metric(ScoredSet([np.nan, 0.2, 0.7, 0.1], [1, -1, 1, -1]))
+    assert not report.exists()
+
+
 # ----------------------------------------------------------------------- f1
 
 
@@ -175,7 +185,8 @@ def predicted_labels(x, params, cfg):
 def test_mean_attention_single_sample_equals_profile():
     cfg, params = tiny_model()
     ds = tiny_dataset(1, cfg, seed=3)
-    alpha, beta = extract_profiles(forward_batch(ds.x, params, cfg, grad=False), cfg)
+    bf = forward_batch(ds.x, params, cfg, grad=False)
+    alpha, beta = bf.alphas, bf.betas
     m = mean_attention(ds, params, cfg, predicted_labels(ds.x, params, cfg)[0])
     np.testing.assert_allclose(m.alpha_mean, alpha[:, :, 0], atol=1e-15)
     np.testing.assert_allclose(m.beta_mean, beta[:, 0], atol=1e-15)
@@ -324,12 +335,15 @@ def test_map_csv_round_trip(tmp_path):
     rng = np.random.default_rng(17)
     values = rng.random((3, 5))
     path = str(tmp_path / "alpha.csv")
-    write_map_csv(path, values, "alpha_mean")
+    atomic_write_text(path, map_to_csv(values, "alpha_mean"))
     np.testing.assert_array_equal(read_map_csv(path), values)
 
 
 def test_beta_csv_format():
-    text = beta_to_csv(np.array([0.25, 0.75]))
-    lines = text.strip().split("\n")
-    assert lines[0] == "mark,beta_mean"
-    assert lines[1].startswith("0,") and lines[2].startswith("1,")
+    assert map_to_csv(np.array([0.25, 0.75]), "beta_mean") == "mark,beta_mean\n0,0.25\n1,0.75\n"
+
+
+def test_map_csv_refuses_other_ranks():
+    for values in (np.zeros((2, 3, 4)), np.float64(0.5)):
+        with pytest.raises(ContractError, match="shape"):
+            map_to_csv(values, "alpha_mean")

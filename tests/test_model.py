@@ -15,8 +15,7 @@ from trackattn import autodiff as ad
 from trackattn.autodiff import Tensor
 from trackattn.errors import ContractError, DimensionError, IngestionError
 from trackattn.lstm import bilstm_encode_steps
-from trackattn.model import (ModelConfig, ParameterStore, collect_input_gradients,
-                             extract_profiles, forward_batch, init_params,
+from trackattn.model import (ModelConfig, ParameterStore, forward_batch, init_params,
                              _attend_steps, labels_to_class_indices,
                              load_checkpoint, logits_to_probs, nll_loss_batch,
                              save_checkpoint)
@@ -42,7 +41,7 @@ def score(x, params, cfg):
     """Class probabilities (2, B), alpha (rows, T, B) and beta (M, B) of a
     tape-free pass over a (B, M, T) stack."""
     bf = forward_batch(x, params, cfg, grad=False)
-    return (logits_to_probs(bf.logits.data), *extract_profiles(bf, cfg))
+    return logits_to_probs(bf.logits.data), bf.alphas, bf.betas
 
 
 def named_gradients(bf, params):
@@ -104,7 +103,7 @@ def test_every_variant_matches_straight_line_oracle(variant, share, order, grad)
     x = np.random.default_rng(42).normal(size=(6, cfg.n_marks, cfg.n_bins))
     bf = forward_batch(x, params, cfg, grad=grad)
     probs = logits_to_probs(bf.logits.data)
-    alpha, beta = extract_profiles(bf, cfg)
+    alpha, beta = bf.alphas, bf.betas
     for b in range(x.shape[0]):
         ref = straight_line_forward(x[b], params, cfg)
         assert np.abs(bf.logits.data[:, b] - ref["logits"]).max() < 1e-12
@@ -133,7 +132,7 @@ def test_full_size_gradient_sampled(variant):
 
     bf = forward_batch(x, params, cfg)
     ad.backward(nll_loss_batch(bf.logits, labels))
-    input_grad = collect_input_gradients(bf, cfg)
+    input_grad = bf.input_gradient()
 
     def f():
         return float(nll_loss_batch(forward_batch(x, params, cfg).logits, labels).data)
@@ -169,10 +168,10 @@ def test_batch_columns_match_single_sample_passes(variant, grad):
     params = init_params(cfg, seed=61)
     x = np.random.default_rng(62).normal(size=(16, cfg.n_marks, cfg.n_bins))
     bf = forward_batch(x, params, cfg, grad=grad)
-    alpha, beta = extract_profiles(bf, cfg)
+    alpha, beta = bf.alphas, bf.betas
     for b in range(16):
         one = forward_batch(x[b:b + 1], params, cfg, grad=grad)
-        alpha1, beta1 = extract_profiles(one, cfg)
+        alpha1, beta1 = one.alphas, one.betas
         assert np.abs(bf.logits.data[:, b] - one.logits.data[:, 0]).max() < 1e-12
         if alpha is not None:
             assert np.abs(alpha[:, :, b] - alpha1[:, :, 0]).max() < 1e-12
@@ -191,7 +190,7 @@ def test_tape_free_pass_is_bit_identical_at_full_size(variant, share):
     x = np.abs(np.random.default_rng(56).normal(size=(3, cfg.n_marks, cfg.n_bins)))
     taped, free = forward_batch(x, params, cfg), forward_batch(x, params, cfg, grad=False)
     assert np.array_equal(free.logits.data, taped.logits.data)
-    for a, b in zip(extract_profiles(free, cfg), extract_profiles(taped, cfg)):
+    for a, b in ((free.alphas, taped.alphas), (free.betas, taped.betas)):
         assert (a is None and b is None) or np.array_equal(a, b)
 
 
@@ -219,6 +218,7 @@ def test_tape_free_pass_records_no_scan_node(variant):
     # nothing below the scans is reachable: no gradient for inputs or LSTMs
     ad.backward(bf.logits, np.ones_like(bf.logits.data))
     assert bf.inputs.adjoint is None
+    assert np.array_equal(bf.input_gradient(), np.zeros(x.shape))
     assert all(leaf.adjoint is None for name, leaf in bf.leaves.items() if "lstm" in name)
 
 
@@ -235,7 +235,7 @@ def test_input_only_backward_gives_the_same_input_gradient_bits(variant, share):
         seed = np.zeros_like(bf.logits.data)
         seed[np.argmax(bf.logits.data, axis=0), np.arange(x.shape[0])] = 1.0
         ad.backward(bf.logits, seed)
-        return bf, collect_input_gradients(bf, cfg)
+        return bf, bf.input_gradient()
 
     full, full_grads = input_gradients(True)
     lean, lean_grads = input_gradients(False)
@@ -258,7 +258,7 @@ def test_input_gradients_land_on_their_sample_mark_and_bin(variant):
     seed = np.zeros((2, 3))
     seed[1] = 1.0
     ad.backward(bf.logits, seed)
-    grads = collect_input_gradients(bf, cfg)
+    grads = bf.input_gradient()
     assert grads.shape == x.shape
 
     def f():

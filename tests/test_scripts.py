@@ -1,5 +1,6 @@
-"""Smoke runs of the example scripts at tiny shapes: both import the
-package's public names, so a change to them shows here."""
+"""Smoke runs of the example scripts and of README's library example at
+tiny shapes: all of them use the package's public names, so a change to
+them shows here."""
 
 import os
 import subprocess
@@ -37,3 +38,15 @@ def test_script_rejects_malformed_bins_as_option_error(script):
     done = run_script(script, "--bins", "45")
     assert done.returncode == 2
     assert "argument --bins" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_readme_library_example_runs(capsys):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    for full, tiny in (("n_genes=2000", "n_genes=60"), ("max_epochs=20", "max_epochs=1")):
+        assert block.count(full) == 1, full
+        block = block.replace(full, tiny)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "held-out AUC:" in out and "(8, 5, 100)" in out
