@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ContractError, ValueError) as err:
+    except (ContractError, ValueError, MemoryError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -284,20 +284,19 @@ class _GeneTable:
     every row check on them. Genes are numbered in order of first
     appearance, and the cell of (gene, bin) is keyed ``gene * n_bins +
     bin``. ``key_line`` holds the line that filled each key (0 while
-    unfilled), so duplicate and missing bins are array lookups. Checked
-    blocks are kept as (keys, signals) columns and scattered into one
-    (N, n_marks, n_bins) array at the end. A block
-    naming more than ``max_genes`` genes fails before any room is made
-    for them.
+    unfilled), so duplicate and missing bins are array lookups. A block
+    that passes every check is written into ``values``, the (genes,
+    n_marks, n_bins) array :meth:`dataset` returns. A block naming more
+    than ``max_genes`` genes fails before any room is made for them.
     """
 
     def __init__(self, n_marks: int, n_bins: int, max_genes: int):
         self.n_marks, self.n_bins, self.max_genes = n_marks, n_bins, max_genes
         self.index: dict[str, int] = {}
         self.expr = np.zeros(0)                     # per gene: expression of its first row
-        self.gene_line = np.zeros(0, np.int64)     # per gene: line of its first row
         self.key_line = np.zeros(0, np.int64)
-        self.blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        # no cells below one bin: there every bin fails its range check
+        self.values = np.zeros((0, n_marks, max(n_bins, 0)))
 
     def add(self, block: _Block, first_line: int) -> None:
         """Check and keep one block, its line 0 on ``first_line``. Raises
@@ -313,7 +312,6 @@ class _GeneTable:
         ids, first = np.unique(gene, return_index=True)
         new = ids >= n_known
         self.expr[ids[new]] = expression[first[new]]
-        self.gene_line[ids[new]] = lines[first[new]]
 
         # np.select takes the first true condition, so placeholder values
         # of rejected cells never reach a later check
@@ -344,7 +342,7 @@ class _GeneTable:
             j = block.fields_at
             raise self._row_error(_FIELDS, block.row(j), first_line + j)
         self.key_line[keys] = lines
-        self.blocks.append((keys, signals))
+        self.values[keys // self.n_bins, :, keys % self.n_bins] = signals
 
     def _reserve(self, n_genes: int) -> None:
         if n_genes <= self.expr.size:
@@ -355,9 +353,8 @@ class _GeneTable:
                                  f"and names at least {n_genes}")
         cap = min(max(n_genes, 2 * self.expr.size), self.max_genes)
         self.expr = _grown(self.expr, cap)
-        self.gene_line = _grown(self.gene_line, cap)
-        # no keys below one bin: there every bin fails its range check
         self.key_line = _grown(self.key_line, cap * max(self.n_bins, 0))
+        self.values = _grown(self.values, cap)
 
     def _row_error(self, code: int, row: list[str], line: int, seen_at: int = 0,
                    first_expr: float = 0.0) -> IngestionError:
@@ -387,27 +384,28 @@ class _GeneTable:
         n, n_bins = len(self.index), self.n_bins
         if not n:
             raise IngestionError(f"{path}: no samples")
-        filled = self.key_line[:n * n_bins].reshape(n, n_bins) > 0
+        lines = self.key_line[:n * n_bins].reshape(n, n_bins)
+        filled = lines > 0
         incomplete = np.flatnonzero(~filled.all(axis=1))
         if incomplete.size:
+            # every row has passed every check, so the gene's first row
+            # filled a cell: the error cites the gene's smallest line
             g = incomplete[0]
             missing = np.flatnonzero(~filled[g]).tolist()
             raise IngestionError(
                 f"gene {list(self.index)[g]!r} is missing bins {missing[:5]}"
-                f"{'...' if len(missing) > 5 else ''}", line=int(self.gene_line[g]))
+                f"{'...' if len(missing) > 5 else ''}", line=int(lines[g, filled[g]].min()))
 
-        values = np.empty((n, self.n_marks, n_bins))
-        for keys, signals in self.blocks:
-            values[keys // n_bins, :, keys % n_bins] = signals
-        self.blocks = []
+        values = self.values[:n]    # a view: trimming by copy would hold the signals twice
         if arcsinh:
             np.arcsinh(values, out=values)
         return Dataset.from_arrays(self.index, values, mark_names, self.expr[:n])
 
 
 def _grown(a: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros(size, a.dtype)
-    out[:a.size] = a
+    """``a`` with its leading axis grown to ``size``, zero-filled."""
+    out = np.zeros((size, *a.shape[1:]), a.dtype)
+    out[:len(a)] = a
     return out
 
 

@@ -143,9 +143,10 @@ def _add_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
     forward pass, tape-free unless saliency is asked for, plus one
     backward pass to the inputs only when it is.
 
-    One backward pass suffices for saliency: seeding each kept column's
-    own predicted-class logit with 1 gives every column its own logit
-    gradient.
+    One backward pass suffices for saliency: every kept column is
+    predicted as the class, so seeding the class's logit row,
+    ``(predicted_class + 1) // 2``, with 1 in every kept column gives each
+    column the gradient of its own predicted logit.
     """
     bf = forward_batch(x, params, cfg, grad=saliency, param_grad=False)
     probs = logits_to_probs(bf.logits.data)
@@ -158,7 +159,7 @@ def _add_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
         sums.beta = _add(sums.beta, bf.betas[:, keep].sum(axis=1))
     if saliency:
         seed = np.zeros_like(bf.logits.data)
-        seed[np.argmax(bf.logits.data, axis=0), np.arange(keep.size)] = keep
+        seed[(predicted_class + 1) // 2] = keep
         ad.backward(bf.logits, seed)
         sums.saliency = _add(sums.saliency, np.abs(bf.input_gradient()[keep]).sum(axis=0))
     sums.count += int(keep.sum())

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -96,20 +96,6 @@ class ModelConfig:
     @property
     def order(self) -> tuple[int, ...]:
         return self.mark_order if self.mark_order is not None else tuple(range(self.n_marks))
-
-    def to_dict(self) -> dict:
-        return {
-            "n_marks": self.n_marks, "n_bins": self.n_bins, "d": self.d, "d_hm": self.d_hm,
-            "variant": self.variant, "share_bin_context": self.share_bin_context,
-            "mark_order": list(self.mark_order) if self.mark_order is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        kwargs = dict(data)
-        if kwargs.get("mark_order") is not None:
-            kwargs["mark_order"] = tuple(kwargs["mark_order"])
-        return cls(**kwargs)
 
 
 def parameter_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -393,7 +379,7 @@ def save_checkpoint(path: str, cfg: ModelConfig, seed: int, params: ParameterSto
     stable block names) into one container; the write is atomic."""
     blocks = list(params.named_blocks())
     header = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "seed": int(seed),
         "blocks": [{"name": n, "shape": list(v.shape)} for n, v in blocks],
     }
@@ -443,7 +429,7 @@ def _read_header(path: str, head: bytes) -> tuple[ModelConfig, int, list[tuple[s
                 or not all(_is_int(n) and n >= 0 for n in entry["shape"])):
             raise bad(f"block entry {entry!r} is not {{name, shape}}")
         entries.append((entry["name"], tuple(entry["shape"])))
-    return ModelConfig.from_dict(config), seed, entries
+    return ModelConfig(**config), seed, entries
 
 
 def load_checkpoint(path: str) -> tuple[ModelConfig, int, ParameterStore]:

@@ -130,6 +130,26 @@ def test_train_n_bins_the_file_cannot_hold_is_a_data_error(ws, tmp_path, capsys)
     assert "data error" in err and "n_bins = 1000000000000" in err
 
 
+# each size asks for more than the 128 TiB a process can address, so no
+# host can hand the memory out
+@pytest.mark.parametrize("command, options", [
+    ("synth", ["--n-genes", "100000000000000"]),                    # 728 TiB of draws
+    ("synth", ["--n-genes", "10", "--n-bins", "1000000000000", "--bins", "0:1"]),  # 364 TiB
+    ("train", ["--set", "d=1000000"]),                              # 175 TiB of weights
+])
+def test_allocation_the_arguments_ask_for_is_a_config_error(ws, tmp_path, capsys, command,
+                                                            options):
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["synth", "--out", str(out), *options]
+    else:
+        argv = ["train", "--config", str(ws / "train.cfg"), *options, "--set", f"out_dir={out}"]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate ") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())    # no output written
+
+
 def test_train_unknown_config_key(ws):
     assert run("train", "--config", str(ws / "train.cfg"), "--set", "dropout=0.5") == 2
 

@@ -78,6 +78,17 @@ def test_load_missing_bins_names_gene(tmp_path):
     assert "gB" in str(err.value) and "missing bins" in str(err.value)
 
 
+@pytest.mark.parametrize("gene", ["gB", '"gB"'])    # plain, and through the csv reader
+def test_load_missing_bins_cites_the_genes_first_row(tmp_path, gene):
+    # the genes interleave, and gB's first row (line 3) holds its bin 2
+    text = ("gene_id,bin,m,expression\n"
+            f"gA,0,1.0,1.0\n{gene},2,1.0,2.0\ngA,1,1.0,1.0\n"
+            f"{gene},0,1.0,2.0\ngA,2,1.0,1.0\n")
+    with pytest.raises(IngestionError) as err:
+        load_dataset(write(tmp_path, text), n_bins=3)
+    assert str(err.value) == "line 3: gene 'gB' is missing bins [1]"
+
+
 def test_load_bounds_n_bins_by_the_file_size(tmp_path):
     # records of the fewest bytes a valid file can hold: an empty gene id,
     # one-character numbers and no final line break
