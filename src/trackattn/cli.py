@@ -219,10 +219,10 @@ def _mark_list(text: str) -> list[int]:
     return [int(i) for i in text.split(",")]
 
 
-def _load_for_checkpoint(args, reference: str = "") -> tuple:
-    """The checkpoint, the dataset part it scores and, given a relevance
-    sidecar path, the sidecar's rows for the marks ``--marks`` keeps."""
-    cfg, seed, params = load_checkpoint(args.checkpoint)
+def _load_for_checkpoint(args, cfg: ModelConfig, reference: str = "") -> tuple:
+    """The dataset part the checkpoint of ``cfg`` scores and, given a
+    relevance sidecar path, the sidecar's rows for the marks ``--marks``
+    keeps."""
     dataset = _load_labeled(args.dataset, cfg.n_bins, args.arcsinh)
     n_file_marks, marks = dataset.n_marks, None
     if args.marks:
@@ -243,11 +243,12 @@ def _load_for_checkpoint(args, reference: str = "") -> tuple:
             if max(marks) >= len(rows):
                 raise IngestionError(f"reference {reference} has no row for mark {max(marks)}")
             rows = rows[marks]
-    return cfg, params, dataset, rows
+    return dataset, rows
 
 
 def cmd_eval(args) -> int:
-    cfg, params, dataset, _ = _load_for_checkpoint(args)
+    cfg, _, params = load_checkpoint(args.checkpoint)
+    dataset, _ = _load_for_checkpoint(args, cfg)
     scored = metrics_mod.score_dataset(dataset, params, cfg)
     metrics_mod.write_metrics_report(args.out, scored)
     print(f"auc={metrics_mod.auc(scored):.4f} n={len(dataset)} -> {args.out}")
@@ -255,9 +256,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_attend(args) -> int:
-    cfg, params, dataset, reference = _load_for_checkpoint(args, args.reference)
-    if cfg.variant == "lstm":
+    cfg, _, params = load_checkpoint(args.checkpoint)
+    if cfg.variant == "lstm":  # refused before any data is read
         raise ContractError(f"variant {cfg.variant!r} produces no attention maps")
+    dataset, reference = _load_for_checkpoint(args, cfg, args.reference)
     predicted_class = 1 if args.predicted_class == "on" else -1
     # one alpha row per mark, or one joint row for lstm-attn
     n_rows = cfg.n_marks if cfg.variant in PER_MARK_VARIANTS else 1
@@ -268,7 +270,9 @@ def cmd_attend(args) -> int:
             f"({n_rows}, {cfg.n_bins})")
 
     os.makedirs(args.out, exist_ok=True)  # an unusable path fails before the model pass
-    # one forward and one backward pass per batch serve both maps
+    # one pass over the data serves both maps: per batch, a tape-free forward
+    # pass over every gene, then a taped forward and input-only backward
+    # pass over the genes of the class
     sums = metrics_mod.ClassSums()
     sal = metrics_mod.mean_saliency(dataset, params, cfg, predicted_class, sums=sums)
     attention = metrics_mod.mean_attention(dataset, params, cfg, predicted_class, sums=sums)

@@ -139,16 +139,18 @@ def _add(total, part):
 
 def _add_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
                predicted_class: int, sums: ClassSums, saliency: bool) -> None:
-    """Add one batch's samples predicted as the class into ``sums``: one
-    forward pass, tape-free unless saliency is asked for, plus one
-    backward pass to the inputs only when it is.
+    """Add one batch's samples predicted as the class into ``sums``.
 
-    One backward pass suffices for saliency: every kept column is
-    predicted as the class, so seeding the class's logit row,
-    ``(predicted_class + 1) // 2``, with 1 in every kept column gives each
-    column the gradient of its own predicted logit.
+    A tape-free forward pass over the batch picks the kept columns and
+    gives their alpha and beta (the values a taped pass gives, bit for
+    bit). When saliency is asked for, one taped, input-only pass then runs
+    over the kept columns alone, so the tape costs grow with the genes
+    kept, not with the batch. Each column of that pass is predicted as the
+    class, so one backward pass seeded with 1 on the class's logit row,
+    ``(predicted_class + 1) // 2``, gives each column the gradient of its
+    own predicted logit.
     """
-    bf = forward_batch(x, params, cfg, grad=saliency, param_grad=False)
+    bf = forward_batch(x, params, cfg, grad=False)
     probs = logits_to_probs(bf.logits.data)
     keep = (probs[1] > probs[0]) if predicted_class == 1 else (probs[1] <= probs[0])
     if not keep.any():
@@ -158,10 +160,11 @@ def _add_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
     if bf.betas is not None:
         sums.beta = _add(sums.beta, bf.betas[:, keep].sum(axis=1))
     if saliency:
-        seed = np.zeros_like(bf.logits.data)
-        seed[(predicted_class + 1) // 2] = keep
-        ad.backward(bf.logits, seed)
-        sums.saliency = _add(sums.saliency, np.abs(bf.input_gradient()[keep]).sum(axis=0))
+        taped = forward_batch(x[keep], params, cfg, param_grad=False)
+        seed = np.zeros_like(taped.logits.data)
+        seed[(predicted_class + 1) // 2] = 1.0
+        ad.backward(taped.logits, seed)
+        sums.saliency = _add(sums.saliency, np.abs(taped.input_gradient()).sum(axis=0))
     sums.count += int(keep.sum())
 
 
@@ -185,7 +188,8 @@ def mean_attention(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
                    sums: ClassSums | None = None) -> MeanAttentionMap:
     """Average alpha and beta over samples whose argmax prediction equals
     predicted_class (+1 or -1). Given the ``sums`` a :func:`mean_saliency`
-    call filled, no forward pass of its own runs."""
+    call filled, no forward pass of its own runs; sums that hold no sample
+    raise ContractError."""
     if predicted_class not in (-1, 1):
         raise ContractError("predicted_class must be -1 or +1")
     if cfg.variant == "lstm":
@@ -193,6 +197,8 @@ def mean_attention(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
     if sums is None:
         sums = _class_pass(dataset, params, cfg, predicted_class, batch_size, ClassSums(),
                            saliency=False)
+    elif sums.count == 0:
+        raise ContractError("class sums hold no sample; fill them with mean_saliency first")
     return MeanAttentionMap(sums.alpha / sums.count,
                             None if sums.beta is None else sums.beta / sums.count,
                             sums.count)
@@ -203,10 +209,14 @@ def mean_saliency(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
                   sums: ClassSums | None = None) -> np.ndarray:
     """Mean absolute input gradient over samples predicted as one class.
 
-    An empty ``sums`` passed in is filled from the same forward passes, so
+    An empty ``sums`` passed in is filled from the same passes, so
     ``mean_attention(..., sums=sums)`` can average alpha and beta without
-    running the model again.
+    running the model again; sums that already hold samples raise
+    ContractError. Each batch runs one tape-free pass over all its genes
+    and one taped, input-only pass over the genes predicted as the class.
     """
+    if sums is not None and sums.count:
+        raise ContractError("class sums already hold samples; pass an empty ClassSums()")
     sums = _class_pass(dataset, params, cfg, predicted_class, batch_size,
                        ClassSums() if sums is None else sums, saliency=True)
     return sums.saliency / sums.count

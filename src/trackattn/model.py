@@ -46,9 +46,10 @@ cells and record no node, so a pass holds its activations, not the
 ~100 MB of backward buffers a 64-sample bin scan keeps at the
 acceptance shapes. A pass whose backward pass wants input gradients only
 (saliency) runs with ``param_grad=False``: its scans then skip the
-[U | W | b] gradient and the step columns it reads. All functions are
-pure over read-only parameters; a trained store can serve concurrent
-forward calls.
+[U | W | b] gradient and the step columns it reads, and its attention
+pools skip the context gradient: no scan or pool node then has a
+parameter leaf as a parent. All functions are pure over read-only
+parameters; a trained store can serve concurrent forward calls.
 """
 
 from __future__ import annotations
@@ -221,7 +222,8 @@ class BatchForward:
         return np.ascontiguousarray(adj.reshape(n_bins, n_k * n_in, n).transpose(2, 1, 0))
 
 
-def _attend_steps(steps: Tensor, contexts: Tensor) -> tuple[np.ndarray, Tensor]:
+def _attend_steps(steps: Tensor, contexts: Tensor,
+                  param_grad: bool = True) -> tuple[np.ndarray, Tensor]:
     """Batched soft attention over the steps of a (T, K, d_h, B) stack,
     independently for each of the K sequences and B columns.
 
@@ -229,7 +231,14 @@ def _attend_steps(steps: Tensor, contexts: Tensor) -> tuple[np.ndarray, Tensor]:
     (K, d_h), one per sequence. Scores are context dot products,
     normalized over the T steps by :func:`logits_to_probs`. Returns the
     (T, K, B) weights (values only) and the weighted sums as one (K·d_h, B)
-    graph node, sequence k in rows k·d_h to (k+1)·d_h.
+    graph node, sequence k in rows k·d_h to (k+1)·d_h. With
+    ``param_grad=False`` the node's backward pass gives the step gradient
+    only, and ``contexts`` is not its parent.
+
+    The scores, the summaries and the weight adjoint are ``einsum``
+    contractions, so no (T, K, d_h, B) product is formed only to be
+    summed; with ``param_grad=False`` the step gradient is the one array of
+    that size the backward pass makes.
     """
     hd = steps.data
     _, n_k, n_h, _ = hd.shape
@@ -237,21 +246,28 @@ def _attend_steps(steps: Tensor, contexts: Tensor) -> tuple[np.ndarray, Tensor]:
     if ctx.ndim != 2 or ctx.shape[1] != n_h or ctx.shape[0] not in (1, n_k):
         raise DimensionError(f"contexts of shape {ctx.shape} do not match "
                              f"{n_k} sequences of height {n_h}")
-    weights = logits_to_probs((hd * ctx[:, :, None]).sum(axis=2))         # (T, K, B)
-    pooled = (hd * weights[:, :, None, :]).sum(axis=0)                   # (K, d_h, B)
+    weights = logits_to_probs(np.einsum("tkhb,kh->tkb", hd,
+                                        np.broadcast_to(ctx, (n_k, n_h))))  # (T, K, B)
+    pooled = np.einsum("tkhb,tkb->khb", hd, weights)                    # (K, d_h, B)
 
     def bwd(adj):
         adj = adj.reshape(pooled.shape)
-        dw = (hd * adj).sum(axis=2)
+        dw = np.einsum("tkhb,khb->tkb", hd, adj)
         ds = weights * (dw - (dw * weights).sum(axis=0))
-        dh = weights[:, :, None, :] * adj + ctx[:, :, None] * ds[:, :, None, :]
+        dh = weights[:, :, None, :] * adj
+        dh += ctx[:, :, None] * ds[:, :, None, :]
+        if not param_grad:
+            return (dh,)
+        # a product and a reduction, not an einsum: the reduction sums the
+        # columns pairwise and einsum in sequence, and trained parameters
+        # would change in their last bits with the order
         dctx = (hd * ds[:, :, None, :]).sum(axis=(0, 3))                 # (K, d_h)
         if len(ctx) == 1:
             dctx = dctx.sum(axis=0, keepdims=True)
         return dh, dctx
 
     return weights, ad.custom(pooled.reshape(n_k * n_h, -1), "attention_pool",
-                              (steps, contexts), bwd)
+                              (steps, contexts) if param_grad else (steps,), bwd)
 
 
 def _mark_sequence(pooled: Tensor, order: tuple[int, ...]) -> Tensor:
@@ -294,7 +310,8 @@ def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
     ``grad=False`` (no backward pass follows) both scans run tape-free:
     the values are bit-identical, but no gradient reaches the inputs or
     the LSTM parameters. With ``param_grad=False`` a backward pass gives
-    the same input gradients, but none reaches the LSTM parameters.
+    the same input gradients, but none reaches the LSTM parameters or the
+    attention contexts.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1:] != (cfg.n_marks, cfg.n_bins):
@@ -313,7 +330,7 @@ def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
         logits = ad.affine(clf_w, _final_states(encoded, cfg.d), clf_b)
         return BatchForward(logits, None, None, leaves, inputs)
 
-    weights, pooled = _attend_steps(encoded, leaves["bin_context"])
+    weights, pooled = _attend_steps(encoded, leaves["bin_context"], param_grad)
     alphas = weights.transpose(1, 0, 2)                                  # (K, T, B)
     if cfg.variant == "lstm-attn":
         logits = ad.affine(clf_w, pooled, clf_b)
@@ -326,7 +343,7 @@ def forward_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
 
     encoded_marks = bilstm_encode_steps(_mark_sequence(pooled, cfg.order), leaves["mark_lstm"],
                                         keep=grad, param_grad=param_grad)
-    weights, gene_vec = _attend_steps(encoded_marks, leaves["mark_context"])
+    weights, gene_vec = _attend_steps(encoded_marks, leaves["mark_context"], param_grad)
     betas = np.empty_like(weights[:, 0])                                 # (M, B)
     betas[list(cfg.order)] = weights[:, 0]
     logits = ad.affine(clf_w, gene_vec, clf_b)

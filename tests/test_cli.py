@@ -447,18 +447,28 @@ def test_attend_one_pass_matches_two_pass_maps(ws, tmp_path, monkeypatch):
         "correlation.csv": "\n".join(lines) + "\n",
     }
 
-    batches = []
+    # per batch: one tape-free pass over the batch, then one taped pass
+    # over the genes it predicts "on", when there are any
     real = metrics.forward_batch
+    expected_calls = []
+    for lo in range(0, len(ds), metrics.SCORE_BATCH):
+        x = ds.x[lo:lo + metrics.SCORE_BATCH]
+        probs = metrics.logits_to_probs(real(x, params, cfg, grad=False).logits.data)
+        n_kept = int((probs[1] > probs[0]).sum())
+        expected_calls += [(len(x), False)] + ([(n_kept, True)] if n_kept else [])
+    assert 0 < sum(n for n, taped in expected_calls if taped) < len(ds)
+
+    calls = []
 
     def counting(x, *args, **kwargs):
-        batches.append(x.shape[0])
+        calls.append((x.shape[0], kwargs.get("grad", True)))
         return real(x, *args, **kwargs)
 
     monkeypatch.setattr(metrics, "forward_batch", counting)
     out = tmp_path / "maps"
     assert run("attend", "--checkpoint", ckpt, "--dataset", dataset, "--class", "on",
                "--out", str(out), "--reference", relevance) == 0
-    assert batches == [64, 64, 64, 64, 44]
+    assert calls == expected_calls
     for name, text in expected.items():
         assert (out / name).read_bytes() == text.encode("utf-8"), name
 
@@ -531,6 +541,19 @@ def test_attend_rejects_attention_free_variant(ws, tmp_path, capsys):
                "--dataset", str(ws / "data" / "dataset.csv"),
                "--class", "on", "--out", str(tmp_path / "mapsp")) == 2
     assert "no attention" in capsys.readouterr().err
+
+
+def test_attend_refuses_attention_free_variant_before_reading_data(tmp_path, capsys):
+    from trackattn.model import ModelConfig, init_params
+    cfg = ModelConfig(n_marks=3, n_bins=20, d=4, variant="lstm")
+    ckpt = str(tmp_path / "plain.ckpt")
+    save_checkpoint(ckpt, cfg, 0, init_params(cfg, seed=0))
+    missing = str(tmp_path / "missing")
+    assert run("attend", "--checkpoint", ckpt, "--dataset", missing + ".csv",
+               "--reference", missing + "-relevance.csv",
+               "--out", str(tmp_path / "maps")) == 2
+    assert "variant 'lstm' produces no attention maps" in capsys.readouterr().err
+    assert not (tmp_path / "maps").exists()
 
 
 def _rewrite_checkpoint(src, dst, edit_header=None, edit_body=None):

@@ -11,7 +11,7 @@ from _gradcheck import finite_diff_entries
 from trackattn.data import Dataset, map_to_csv, read_map_csv
 from trackattn.errors import ContractError, MetricUndefinedError
 from trackattn.ioutil import atomic_write_text
-from trackattn.metrics import (ScoredSet, auc, f1, mean_attention, mean_saliency,
+from trackattn.metrics import (ClassSums, ScoredSet, auc, f1, mean_attention, mean_saliency,
                                metrics_report_text, pearson, predict_probs, score_dataset,
                                write_metrics_report)
 from trackattn.model import (ModelConfig, ParameterStore, forward_batch, init_params,
@@ -281,6 +281,42 @@ def test_predict_probs_batches_consistently():
     np.testing.assert_allclose(probs_big, singles, atol=1e-12)
 
 
+@pytest.mark.parametrize("variant", ["lstm", "lstm-attn", "lstm-alpha", "lstm-alpha-beta"])
+def test_mean_saliency_does_not_depend_on_the_batch(variant):
+    # the taped pass runs over the kept genes of each batch only, so its
+    # batch size follows how the genes fall into scoring batches
+    cfg, params = tiny_model(variant, seed=19)
+    ds = tiny_dataset(11, cfg, seed=20)
+    # move the decision threshold between the 5th and 6th gene's logit gap
+    logits = forward_batch(ds.x, params, cfg, grad=False).logits.data
+    gaps = np.sort(logits[1] - logits[0])
+    params.blocks["classifier.b"][1] -= (gaps[4] + gaps[5]) / 2
+    preds = predicted_labels(ds.x, params, cfg).tolist()
+    klass = 1 if preds.count(1) >= preds.count(-1) else -1
+    assert 0 < preds.count(klass) < len(preds)
+    big = mean_saliency(ds, params, cfg, klass, batch_size=64)
+    for batch_size in (1, 3):
+        np.testing.assert_allclose(mean_saliency(ds, params, cfg, klass, batch_size=batch_size),
+                                   big, atol=1e-12)
+
+
+def test_class_sums_must_be_filled_once():
+    cfg, params = tiny_model(seed=21)
+    ds = tiny_dataset(6, cfg, seed=22)
+    klass = int(predicted_labels(ds.x[:1], params, cfg)[0])
+    with pytest.raises(ContractError, match="hold no sample"):
+        mean_attention(ds, params, cfg, klass, sums=ClassSums())
+    sums = ClassSums()
+    once = mean_saliency(ds, params, cfg, klass, sums=sums)
+    count = sums.count
+    with pytest.raises(ContractError, match="already hold samples"):
+        mean_saliency(ds, params, cfg, klass, sums=sums)
+    assert sums.count == count
+    np.testing.assert_array_equal(sums.saliency / sums.count, once)
+    m = mean_attention(ds, params, cfg, klass, sums=sums)
+    assert m.n_samples == count
+
+
 def acceptance_scoring_input():
     """256 genes at the acceptance shapes, with a model to score them."""
     cfg = ModelConfig(n_marks=5, n_bins=100, d=32, d_hm=16, variant="lstm-alpha-beta")
@@ -308,8 +344,9 @@ def test_predict_probs_keeps_no_backward_buffers():
 
 
 def test_mean_saliency_keeps_one_batch_of_input_only_buffers():
-    # one 64-gene taped pass at a time, with no [U | W | b] gradient: 256-gene
-    # batches that also built the stack gradient peaked at 587 MiB
+    # one taped pass of at most 64 genes at a time, with no [U | W | b]
+    # gradient: 256-gene batches that also built the stack gradient peaked
+    # at 587 MiB
     cfg, params, x = acceptance_scoring_input()
     ds = Dataset.from_arrays([f"g{i}" for i in range(len(x))], x,
                              [f"m{j}" for j in range(cfg.n_marks)])
