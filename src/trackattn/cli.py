@@ -134,8 +134,9 @@ def _train_config(resolved: dict[str, str]) -> TrainConfig:
     )
 
 
-def _load_labeled(path: str, n_bins: int, arcsinh: bool = False) -> data_mod.Dataset:
-    return data_mod.binarize_labels(data_mod.load_dataset(path, n_bins, arcsinh=arcsinh))
+# ``train`` leaves the dataset it loaded in its out_dir under this name, so
+# that ``eval`` and ``attend`` on the checkpoint beside it skip the parse
+PACK_NAME = "dataset.pack"
 
 
 SPLIT_PARTS = ("train", "validation", "test")
@@ -192,19 +193,27 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     resolved = resolve_run_config(parse_config_file(args.config), args.set)
-    dataset = _load_labeled(resolved["dataset"], int(resolved["n_bins"]),
-                            _parse_bool(resolved["arcsinh"]))
+    out_dir = resolved["out_dir"]
+    pack = os.path.join(out_dir, PACK_NAME)
+    loaded = data_mod.load_dataset(resolved["dataset"], int(resolved["n_bins"]),
+                                   _parse_bool(resolved["arcsinh"]), pack=pack)
+    dataset = data_mod.binarize_labels(loaded)
     if resolved["marks"]:
         dataset = data_mod.restrict_marks(dataset, _mark_list(resolved["marks"]))
     mcfg = _model_config(resolved, dataset.n_marks)
     tcfg = _train_config(resolved)
 
     train_ds, val_ds = _split(dataset, resolved["split"], int(resolved["split_seed"]))[:2]
-    del dataset  # the parts are copies; training holds only them
-
-    out_dir = resolved["out_dir"]
     os.makedirs(out_dir, exist_ok=True)  # an unusable path fails before the fit
-    params, history = train(tcfg, mcfg, train_ds, val_ds)
+    data_mod.save_pack(pack, loaded)
+    del dataset, loaded  # the parts are copies; training holds only them
+
+    try:
+        params, history = train(tcfg, mcfg, train_ds, val_ds)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(pack)  # a fit that fails leaves no outputs
+        raise
 
     atomic_write_text(os.path.join(out_dir, "config.resolved"), config_echo_text(resolved))
     save_checkpoint(os.path.join(out_dir, "checkpoint.ckpt"), mcfg, tcfg.seed, params)
@@ -223,7 +232,9 @@ def _load_for_checkpoint(args, cfg: ModelConfig, reference: str = "") -> tuple:
     """The dataset part the checkpoint of ``cfg`` scores and, given a
     relevance sidecar path, the sidecar's rows for the marks ``--marks``
     keeps."""
-    dataset = _load_labeled(args.dataset, cfg.n_bins, args.arcsinh)
+    pack = os.path.join(os.path.dirname(args.checkpoint), PACK_NAME)
+    dataset = data_mod.binarize_labels(
+        data_mod.load_dataset(args.dataset, cfg.n_bins, args.arcsinh, pack=pack))
     n_file_marks, marks = dataset.n_marks, None
     if args.marks:
         marks = _mark_list(args.marks)

@@ -24,6 +24,8 @@ the planted ground truth is exported as a ``mark,bin,relevance`` sidecar.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import os
 import warnings
 from collections.abc import Callable
@@ -33,8 +35,9 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import ContractError, IngestionError
-from .ioutil import atomic_write_chunks, atomic_write_text
+from .errors import ContractError, IngestionError, TrackAttnError
+from .ioutil import (HashingReader, atomic_write_chunks, atomic_write_text, float64_bytes,
+                     header_bytes, open_container, sha256_hex, write_container)
 
 
 # Input records: perfbench/inputs.py::write builds its datasets from them
@@ -58,7 +61,12 @@ class Dataset:
     signals, ``gene_ids`` (N unique names), ``mark_names``, raw
     ``expression`` (N,) or None, and ``labels`` (N,) of -1/+1, None until
     binarized. Datasets are not modified in place; the operations below
-    return new ones, which may share arrays with their input."""
+    return new ones, which may share arrays with their input.
+
+    ``pack_key`` is the key a pack of the dataset is filed under; only
+    :func:`load_dataset` sets it."""
+
+    pack_key: dict | None = None
 
     def __init__(self, samples: list[GeneSample], mark_names: list[str], n_bins: int):
         x = np.zeros((len(samples), len(mark_names), n_bins))
@@ -113,28 +121,114 @@ class Dataset:
         return self.x.shape[2]
 
 
-def load_dataset(path: str, n_bins: int, arcsinh: bool = False) -> Dataset:
+def load_dataset(path: str, n_bins: int, arcsinh: bool = False,
+                 pack: str | None = None) -> Dataset:
     """Parse a dataset file, requiring exactly n_bins rows per gene.
 
     Labels are left unset; expression values are captured for later
     binarization. The optional arcsinh flag compresses raw-count signals.
     A malformed file raises IngestionError citing its first bad line.
+
+    ``pack`` names a file :func:`save_pack` may have written. When it is
+    a valid pack whose key matches this load (the SHA-256 of the file's
+    bytes, ``n_bins`` and ``arcsinh``), the dataset is read from it: the
+    file is then read and hashed, not parsed. Any other pack is ignored.
+    The dataset returned carries its key in ``pack_key``.
     """
-    with _csv_text(path) as fh:
-        return _parse_dataset(fh, path, n_bins, arcsinh, os.fstat(fh.fileno()).st_size)
+    with open(path, "rb") as raw:
+        if pack is not None and (dataset := _unpack(pack, raw, n_bins, arcsinh)) is not None:
+            return dataset
+        # the digest is of the bytes the parse reads, in the same read
+        hashing = HashingReader(raw)
+        with _csv_text(path, io.BufferedReader(hashing)) as fh:
+            dataset = _parse_dataset(fh, path, n_bins, arcsinh, os.fstat(raw.fileno()).st_size)
+    dataset.pack_key = _pack_key(hashing.sha256.hexdigest(), n_bins, arcsinh)
+    return dataset
 
 
 @contextmanager
-def _csv_text(path: str):
-    """Open a csv input file; text that is not UTF-8 and records the csv
-    module refuses (a field over its size limit) raise IngestionError."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+def _csv_text(path: str, binary):
+    """Read the binary file ``binary``, opened from ``path``, as csv text;
+    text that is not UTF-8 and records the csv module refuses (a field over
+    its size limit) raise IngestionError."""
+    with io.TextIOWrapper(binary, encoding="utf-8", newline="") as fh:
         try:
             yield fh
         except UnicodeDecodeError as err:
             raise IngestionError(f"{path}: not UTF-8 text ({err.reason})") from None
         except csv.Error as err:
             raise IngestionError(f"{path}: malformed CSV record ({err})") from None
+
+
+# ------------------------------------------------------------ dataset packs
+#
+# A pack is a container (see ``ioutil``) holding one loaded dataset. Its
+# header holds the key of the load that made it (``csv_sha256``, the
+# digest of the file's bytes; ``n_bins``; ``arcsinh``), the gene ids, the
+# mark names, the (N, M, T) shape and ``sha256``, the digest of the rest
+# of the header and the payload: x, then expression.
+
+PACK_MAGIC = b"trackattn-dataset-v1"
+_PACK_FIELDS = {"arcsinh", "csv_sha256", "gene_ids", "mark_names", "n_bins", "sha256", "shape"}
+
+
+def _pack_key(csv_sha256: str, n_bins: int, arcsinh: bool) -> dict:
+    return {"csv_sha256": csv_sha256, "n_bins": int(n_bins), "arcsinh": bool(arcsinh)}
+
+
+def _pack_digest(header: dict, x: np.ndarray, expression: np.ndarray) -> str:
+    """The ``sha256`` of a pack: its header without that field, then x and
+    expression as the payload holds them."""
+    sha = hashlib.sha256(header_bytes({k: v for k, v in header.items() if k != "sha256"}))
+    sha.update(float64_bytes(x))
+    sha.update(float64_bytes(expression))
+    return sha.hexdigest()
+
+
+def save_pack(path: str, dataset: Dataset) -> None:
+    """Write a dataset :func:`load_dataset` returned into a pack at
+    ``path``, atomically. The arrays are streamed, not copied."""
+    if dataset.pack_key is None:
+        raise ContractError("only a dataset load_dataset returned can be packed")
+    header = {**dataset.pack_key, "gene_ids": dataset.gene_ids,
+              "mark_names": dataset.mark_names, "shape": list(dataset.x.shape)}
+    header["sha256"] = _pack_digest(header, dataset.x, dataset.expression)
+    write_container(path, PACK_MAGIC, header, (dataset.x, dataset.expression))
+
+
+def _unpack(pack: str, raw, n_bins: int, arcsinh: bool) -> Dataset | None:
+    """The dataset in ``pack`` if it is a valid pack for this load of the
+    binary file ``raw``, else None, with ``raw`` back at its start."""
+    if not raw.seekable():
+        return None
+    try:
+        with open_container(pack, PACK_MAGIC, "dataset pack") as box:
+            header = box.header
+            if not (isinstance(header, dict) and set(header) == _PACK_FIELDS
+                    and _names(header["gene_ids"]) and _names(header["mark_names"])
+                    and isinstance(header["shape"], list)
+                    and all(type(n) is int and n >= 0 for n in header["shape"])
+                    and header["shape"] == [len(header["gene_ids"]),
+                                            len(header["mark_names"]), n_bins]):
+                return None
+            try:
+                key = _pack_key(sha256_hex(raw), n_bins, arcsinh)
+            finally:
+                raw.seek(0)
+            if any(header[k] != v for k, v in key.items()):
+                return None
+            x, expression = box.arrays([header["shape"], header["shape"][:1]])
+            if _pack_digest(header, x, expression) != header["sha256"]:
+                return None
+            dataset = Dataset.from_arrays(header["gene_ids"], x, header["mark_names"], expression)
+    except (OSError, TrackAttnError):
+        return None
+    dataset.pack_key = key
+    return dataset
+
+
+def _names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 # Lines (csv records, once the csv module reads) are parsed this many at
@@ -461,10 +555,11 @@ def _csv_chunks(dataset: Dataset):
     if dataset.expression is None:
         raise ContractError("dataset has no expression values to write")
     yield "gene_id,bin," + ",".join(dataset.mark_names) + ",expression\n"
+    # tolist() gives Python floats, whose repr is the shortest round trip
     for gene_id, expr, x in zip(dataset.gene_ids, dataset.expression.tolist(), dataset.x):
-        expr = _fmt(expr)
-        yield "".join(f"{gene_id},{b},{','.join(map(_fmt, cells))},{expr}\n"
-                      for b, cells in enumerate(x.T.tolist()))
+        tail = f",{expr!r}\n"
+        yield "".join([f"{gene_id},{b},{','.join(map(repr, cells))}{tail}"
+                       for b, cells in enumerate(x.T.tolist())])
 
 
 def save_dataset(path: str, dataset: Dataset) -> None:
@@ -607,7 +702,7 @@ def read_map_csv(path: str, column: str | None = None,
     IngestionError citing its line, before the matrix is allocated."""
     cells: dict[tuple[int, int], float] = {}
     lines: dict[tuple[int, int], int] = {}
-    with _csv_text(path) as fh:
+    with open(path, "rb") as raw, _csv_text(path, raw) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if (header is None or len(header) != 3 or header[:2] != ["mark", "bin"]

@@ -54,7 +54,6 @@ parameters; a trained store can serve concurrent forward calls.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -63,7 +62,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError, IngestionError
-from .ioutil import atomic_write_bytes
+from .ioutil import open_container, write_container
 from .lstm import GATES, bilstm_encode_steps
 
 VARIANTS = ("lstm", "lstm-attn", "lstm-alpha", "lstm-alpha-beta")
@@ -392,17 +391,15 @@ def nll_loss_batch(logits: Tensor, labels) -> Tensor:
 
 
 def save_checkpoint(path: str, cfg: ModelConfig, seed: int, params: ParameterStore) -> None:
-    """Write config, seed and every block (little-endian float64 payload,
-    stable block names) into one container; the write is atomic."""
+    """Write config, seed and every block (stable block names) into one
+    container; the write is atomic."""
     blocks = list(params.named_blocks())
     header = {
         "config": asdict(cfg),
         "seed": int(seed),
         "blocks": [{"name": n, "shape": list(v.shape)} for n, v in blocks],
     }
-    body = b"".join(np.ascontiguousarray(v, dtype="<f8").tobytes() for _, v in blocks)
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    atomic_write_bytes(path, CHECKPOINT_MAGIC + b"\n" + head + b"\n" + body)
+    write_container(path, CHECKPOINT_MAGIC, header, (v for _, v in blocks))
 
 
 def _is_int(value) -> bool:
@@ -417,16 +414,12 @@ _CONFIG_FIELDS = {
 }
 
 
-def _read_header(path: str, head: bytes) -> tuple[ModelConfig, int, list[tuple[str, tuple]]]:
-    """Decode and validate the JSON header: config, seed and the ordered
+def _read_header(path: str, header) -> tuple[ModelConfig, int, list[tuple[str, tuple]]]:
+    """Validate the decoded JSON header: config, seed and the ordered
     (name, shape) block entries. Every defect raises ContractError."""
     def bad(what: str) -> ContractError:
         return ContractError(f"{path}: malformed checkpoint header: {what}")
 
-    try:
-        header = json.loads(head.decode("utf-8"))
-    except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, or nested too deep
-        raise bad(f"not UTF-8 JSON ({err})") from None
     if not isinstance(header, dict) or set(header) != {"blocks", "config", "seed"}:
         raise bad("expected exactly the keys blocks, config, seed")
     config, seed, blocks = header["config"], header["seed"], header["blocks"]
@@ -452,38 +445,28 @@ def _read_header(path: str, head: bytes) -> tuple[ModelConfig, int, list[tuple[s
 def load_checkpoint(path: str) -> tuple[ModelConfig, int, ParameterStore]:
     """Read a container written by :func:`save_checkpoint`. A malformed
     container raises ContractError; non-finite parameters IngestionError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    magic, _, rest = blob.partition(b"\n")
-    if magic != CHECKPOINT_MAGIC:
-        raise ContractError(f"{path}: not a checkpoint file")
-    head, _, body = rest.partition(b"\n")
-    cfg, seed, entries = _read_header(path, head)
+    with open_container(path, CHECKPOINT_MAGIC, "checkpoint") as box:
+        cfg, seed, entries = _read_header(path, box.header)
 
-    # Compare names and shapes with the config's before allocating, so
-    # that a header cannot ask for more memory than its payload holds:
-    # the expected blocks are views of memoryless placeholders. Per-mark
-    # variants have over 20 blocks per mark.
-    if cfg.variant in PER_MARK_VARIANTS and cfg.n_marks > len(entries):
-        raise ContractError(f"{path}: block names do not match variant {cfg.variant!r}")
-    layout = parameter_layout(cfg)
-    placeholders = {name: np.broadcast_to(np.float64(0.0), shape) for name, shape in layout}
-    expected = [(name, view.shape) for name, view in _checkpoint_views(placeholders)]
-    if [name for name, _ in expected] != [name for name, _ in entries]:
-        raise ContractError(f"{path}: block names do not match variant {cfg.variant!r}")
-    for (name, want), (_, shape) in zip(expected, entries):
-        if shape != want:
-            raise ContractError(f"{path}: block {name} has shape {shape}, expected {want}")
-    n_bytes = 8 * sum(math.prod(shape) for _, shape in layout)
-    if len(body) != n_bytes:
-        raise ContractError(f"{path}: payload holds {len(body)} bytes, expected {n_bytes}")
+        # Compare names and shapes with the config's before allocating, so
+        # that a header cannot ask for more memory than its payload holds:
+        # the expected blocks are views of memoryless placeholders. Per-mark
+        # variants have over 20 blocks per mark.
+        if cfg.variant in PER_MARK_VARIANTS and cfg.n_marks > len(entries):
+            raise ContractError(f"{path}: block names do not match variant {cfg.variant!r}")
+        layout = parameter_layout(cfg)
+        placeholders = {name: np.broadcast_to(np.float64(0.0), shape) for name, shape in layout}
+        expected = [(name, view.shape) for name, view in _checkpoint_views(placeholders)]
+        if [name for name, _ in expected] != [name for name, _ in entries]:
+            raise ContractError(f"{path}: block names do not match variant {cfg.variant!r}")
+        for (name, want), (_, shape) in zip(expected, entries):
+            if shape != want:
+                raise ContractError(f"{path}: block {name} has shape {shape}, expected {want}")
+        values = box.arrays(shape for _, shape in entries)
 
     params = ParameterStore(layout)
-    offset = 0
-    for name, view in params.named_blocks():
-        raw = np.frombuffer(body, dtype="<f8", count=view.size, offset=offset)
-        if not np.isfinite(raw).all():
+    for (name, view), block in zip(params.named_blocks(), values):
+        if not np.isfinite(block).all():
             raise IngestionError(f"{path}: block {name} holds non-finite values")
-        view[...] = raw.reshape(view.shape)
-        offset += 8 * view.size
+        view[...] = block
     return cfg, seed, params

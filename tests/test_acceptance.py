@@ -220,7 +220,7 @@ def test_criterion_09_determinism(tmp_path):
         "max_epochs = 8\npatience = 8\nseed = 5\n")
     assert cli_main(["train", "--config", str(config)]) == 0
     first = {name: (tmp_path / "out" / name).read_bytes()
-             for name in ("history.csv", "checkpoint.ckpt", "config.resolved")}
+             for name in ("history.csv", "checkpoint.ckpt", "config.resolved", "dataset.pack")}
     (tmp_path / "out" / "history.csv").unlink()
     (tmp_path / "out" / "checkpoint.ckpt").unlink()
     assert cli_main(["train", "--config", str(config)]) == 0

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -749,3 +750,107 @@ def test_corrupted_checkpoint_through_eval_and_attend_exits_cleanly(tiny, data, 
     assert_clean_exit(*_quiet_run("eval", *common, "--out", str(root / "fuzz-metrics.json")))
     assert_clean_exit(*_quiet_run("attend", *common, "--class", predicted,
                                   "--out", str(root / "fuzz-ckpt-maps")))
+
+
+# ------------------------------------------------ the pack train leaves
+
+def _pack_run(tiny, root):
+    """A copy of the tiny run under ``root``: its dataset, and its
+    checkpoint beside the pack ``train`` left."""
+    tiny_root, predicted = tiny
+    for name in ("data/dataset.csv", "run/checkpoint.ckpt", "run/dataset.pack"):
+        (root / name).parent.mkdir(exist_ok=True)
+        shutil.copyfile(tiny_root / name, root / name)
+    return root / "data" / "dataset.csv", root / "run", predicted
+
+
+def _scored(csv, run_dir, predicted, *options):
+    """The exit codes and standard error of ``eval`` and ``attend`` on the
+    checkpoint in ``run_dir``, and the bytes of every file they wrote."""
+    out = run_dir.parent / "out"
+    out.mkdir()
+    common = ("--checkpoint", str(run_dir / "checkpoint.ckpt"), "--dataset", str(csv), *options)
+    runs = [_quiet_run("eval", *common, "--out", str(out / "metrics.json")),
+            _quiet_run("attend", *common, "--class", predicted, "--out", str(out / "maps"))]
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    shutil.rmtree(out, ignore_errors=True)
+    return runs, files
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The list of the dataset parses run since the test began."""
+    from trackattn import data
+    calls, parse = [], data._parse_dataset
+
+    def counted(*args):
+        calls.append(args[1])
+        return parse(*args)
+
+    monkeypatch.setattr(data, "_parse_dataset", counted)
+    return calls
+
+
+@pytest.mark.parametrize("options,n_parses", [
+    ((), 0), (("--part", "test"), 0), (("--marks", "1,0"), 0),
+    (("--marks", "1,0", "--part", "validation"), 0),
+    (("--arcsinh",), 2),            # the pack holds the signals without arcsinh
+])
+def test_eval_and_attend_read_the_pack_train_left(tiny, tmp_path, parses, options, n_parses):
+    csv, run_dir, predicted = _pack_run(tiny, tmp_path)
+    from_pack = _scored(csv, run_dir, predicted, *options)
+    assert from_pack[0] == [(0, "")] * 2 and len(parses) == n_parses
+    (run_dir / "dataset.pack").unlink()
+    assert _scored(csv, run_dir, predicted, *options) == from_pack
+    assert len(parses) == n_parses + 2
+
+
+def _edit_signal(fields):
+    fields[2] = str(int(fields[2][0]) + 1) + fields[2][1:]
+
+
+def _edit_bin(fields):
+    fields[1] = "x"
+
+
+@pytest.mark.parametrize("edit", [_edit_signal, _edit_bin])
+def test_pack_is_keyed_by_the_datasets_bytes_not_its_size_or_mtime(tiny, tmp_path, parses,
+                                                                   edit):
+    csv, run_dir, predicted = _pack_run(tiny, tmp_path)
+    stat = csv.stat()
+    lines = csv.read_text().split("\n")
+    fields = lines[5].split(",")
+    edit(fields)
+    lines[5] = ",".join(fields)
+    csv.write_text("\n".join(lines))
+    os.utime(csv, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert csv.stat().st_size == stat.st_size
+
+    edited = _scored(csv, run_dir, predicted)
+    assert len(parses) == 2
+    if edit is _edit_bin:
+        assert edited[0] == [(3, "data error: line 6: non-integer bin 'x'\n")] * 2
+    (run_dir / "dataset.pack").unlink()
+    assert _scored(csv, run_dir, predicted) == edited
+
+
+@pytest.fixture(scope="module")
+def pack_fuzz(tiny, tmp_path_factory):
+    """The tiny run's copy, its pack's bytes, and what eval and attend
+    give with the pack deleted."""
+    csv, run_dir, predicted = _pack_run(tiny, tmp_path_factory.mktemp("pack-fuzz"))
+    blob = (run_dir / "dataset.pack").read_bytes()
+    (run_dir / "dataset.pack").unlink()
+    return csv, run_dir, predicted, blob, _scored(csv, run_dir, predicted)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_corrupted_pack_changes_no_output(pack_fuzz, data):
+    # the checkpoint fuzz's truncations, extensions and byte flips, on the
+    # pack: every run exits and writes as the run without a pack does
+    csv, run_dir, predicted, blob, parsed = pack_fuzz
+    (run_dir / "dataset.pack").write_bytes(data.draw(corrupted(blob)))
+    assert _scored(csv, run_dir, predicted) == parsed
+

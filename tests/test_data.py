@@ -1,19 +1,21 @@
 import csv
 import hashlib
 import math
+import os
 import warnings
 from unittest import mock
 
 import _reference_ingest as reference_ingest
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trackattn import data as data_module
 from trackattn.data import (Dataset, GeneSample, SignalMatrix, SynthSpec, binarize_labels,
                             dataset_to_csv, load_dataset, load_relevance, read_map_csv,
-                            restrict_marks, save_dataset, save_relevance, split, synth_generate)
+                            restrict_marks, save_dataset, save_pack, save_relevance, split,
+                            synth_generate)
 from trackattn.errors import ContractError, IngestionError
 
 FIXTURE = """\
@@ -667,3 +669,127 @@ def test_binarized_labels_match_recorded_digest(tmp_path, n, digest):
     rows = "".join(f"g{i},0,0.0,{(7 * i) % 5}.5\n" for i in range(n))
     ds = binarize_labels(load_dataset(write(tmp_path, "gene_id,bin,m,expression\n" + rows), 1))
     assert _digest(ds.labels.astype("<i8").tobytes()) == digest
+
+
+# ---------------------------------------------- the writer and dataset packs
+
+_NAME_CHARS = st.characters(codec="utf-8", exclude_characters=',"\r\n')
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-05, 1e16]
+
+
+@st.composite
+def small_datasets(draw):
+    """Datasets the writer can write: edge-case floats, non-ASCII names."""
+    n, m, t = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(0, 1e300))
+    x = np.array(draw(st.lists(cells, min_size=n * m * t, max_size=n * m * t))).reshape(n, m, t)
+    expression = draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                                         st.floats(allow_nan=False, allow_infinity=False)),
+                               min_size=n, max_size=n))
+    gene_ids = draw(st.lists(st.text(_NAME_CHARS, min_size=1, max_size=5),
+                             min_size=n, max_size=n, unique=True))
+    mark_names = draw(st.lists(st.text(_NAME_CHARS, max_size=5), min_size=m, max_size=m))
+    return Dataset.from_arrays(gene_ids, x, mark_names, expression)
+
+
+def _fmt_writer_text(dataset):
+    """The writer as it was when it formatted every cell with
+    ``repr(float(v))``, kept as the reference for the text it writes."""
+    def fmt(v):
+        return repr(float(v))
+    text = "gene_id,bin," + ",".join(dataset.mark_names) + ",expression\n"
+    for gene_id, expr, x in zip(dataset.gene_ids, dataset.expression.tolist(), dataset.x):
+        expr = fmt(expr)
+        text += "".join(f"{gene_id},{b},{','.join(map(fmt, cells))},{expr}\n"
+                        for b, cells in enumerate(x.T.tolist()))
+    return text
+
+
+@settings(max_examples=100)
+@given(small_datasets())
+@example(Dataset.from_arrays(["g\u00e9ne", "\u57fa\u56e0"],
+                             np.array([-0.0, 5e-324, 1e-05, 1e16] * 2).reshape(2, 2, 2),
+                             ["m\u00e4rk", "m"], [-0.0, 1e16]))
+def test_writer_text_matches_the_per_cell_formatter(ds):
+    assert dataset_to_csv(ds) == _fmt_writer_text(ds)
+
+
+@settings(max_examples=60)
+@given(ds=small_datasets(), arcsinh=st.booleans())
+def test_pack_loads_to_the_parsed_datasets_bits(fuzz_dir, ds, arcsinh):
+    path, pack = str(fuzz_dir / "packed.csv"), str(fuzz_dir / "dataset.pack")
+    save_dataset(path, ds)
+    parsed = load_dataset(path, ds.n_bins, arcsinh)
+    save_pack(pack, parsed)
+    with mock.patch.object(data_module, "_parse_dataset", side_effect=AssertionError("parsed")):
+        packed = load_dataset(path, ds.n_bins, arcsinh, pack=pack)
+    assert packed.gene_ids == parsed.gene_ids and packed.mark_names == parsed.mark_names
+    assert packed.x.tobytes() == parsed.x.tobytes()
+    assert packed.expression.tobytes() == parsed.expression.tobytes()
+    assert packed.pack_key == parsed.pack_key
+    assert packed.x.flags.writeable and packed.expression.flags.writeable
+
+
+def test_pack_of_another_load_is_not_read(tmp_path):
+    # same file, another n_bins or arcsinh: the file is parsed, and gives
+    # what it gives without the pack, an error included
+    path, pack = str(tmp_path / "d.csv"), str(tmp_path / "dataset.pack")
+    save_dataset(path, _pinned_dataset())
+    save_pack(pack, load_dataset(path, 7))
+    parse = mock.Mock(wraps=data_module._parse_dataset)
+    with mock.patch.object(data_module, "_parse_dataset", parse):
+        for n_bins, arcsinh in ((7, True), (6, False), (8, False)):
+            def load(path, n_bins, arcsinh):
+                return load_dataset(path, n_bins, arcsinh, pack=pack)
+            assert (_outcome(load, path, n_bins, arcsinh)
+                    == _outcome(load_dataset, path, n_bins, arcsinh))
+    assert parse.call_count == 6
+
+
+# edits of a valid pack's header that keep its JSON and its key
+PACK_HEADER_EDITS = {
+    "float_shape": lambda head: head.replace(b'"shape":[37,3,7]', b'"shape":[37.0,3,7]'),
+    "exponent_shape": lambda head: head.replace(b'"shape":[37,3,7]', b'"shape":[3.7e1,3,7]'),
+    "bool_arcsinh": lambda head: head.replace(b'"arcsinh":false', b'"arcsinh":0'),
+    "float_n_bins": lambda head: head.replace(b'"n_bins":7', b'"n_bins":7.0'),
+    "gene_ids_object": lambda head: head.replace(b'"gene_ids":[', b'"gene_ids":{"g":[') + b"}",
+    "renamed_gene": lambda head: head.replace(b'"g00000"', b'"g00099"'),
+    "not_an_object": lambda head: b"[" + head + b"]",
+}
+
+
+@pytest.mark.parametrize("edit", sorted(PACK_HEADER_EDITS))
+def test_pack_with_an_edited_header_is_not_read(tmp_path, edit):
+    path, pack = str(tmp_path / "d.csv"), tmp_path / "dataset.pack"
+    save_dataset(path, _pinned_dataset())
+    save_pack(str(pack), load_dataset(path, 7))
+    magic, head, payload = pack.read_bytes().split(b"\n", 2)
+    edited = PACK_HEADER_EDITS[edit](head)
+    assert edited != head
+    pack.write_bytes(b"\n".join([magic, edited, payload]))
+    parse = mock.Mock(wraps=data_module._parse_dataset)
+    with mock.patch.object(data_module, "_parse_dataset", parse):
+        def load(path, n_bins, arcsinh):
+            return load_dataset(path, n_bins, arcsinh, pack=str(pack))
+        assert _outcome(load, path, 7) == _outcome(load_dataset, path, 7)
+    assert parse.call_count == 2
+
+
+def test_pack_is_keyed_by_the_files_bytes(tmp_path):
+    # an edit that keeps the file's size and mtime is still seen
+    path, pack = tmp_path / "d.csv", str(tmp_path / "dataset.pack")
+    save_dataset(str(path), _pinned_dataset())
+    save_pack(pack, load_dataset(str(path), 7))
+    stat = path.stat()
+    head, first, rest = path.read_text().split("\n", 2)
+    gene_id, b, signal, tail = first.split(",", 3)
+    signal = str(int(signal[0]) + 1) + signal[1:]
+    path.write_text("\n".join([head, ",".join([gene_id, b, signal, tail]), rest]))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    assert load_dataset(str(path), 7, pack=pack).x[0, 0, int(b)] == float(signal)
+
+
+def test_pack_without_a_key_is_refused(tmp_path):
+    with pytest.raises(ContractError, match="load_dataset"):
+        save_pack(str(tmp_path / "dataset.pack"), _pinned_dataset())

@@ -18,7 +18,7 @@ from trackattn.lstm import bilstm_encode_steps
 from trackattn.model import (ModelConfig, ParameterStore, forward_batch, init_params,
                              _attend_steps, labels_to_class_indices,
                              load_checkpoint, logits_to_probs, nll_loss_batch,
-                             save_checkpoint)
+                             parameter_layout, save_checkpoint)
 
 TINY = dict(n_marks=3, n_bins=8, d=4, d_hm=3)
 
@@ -645,6 +645,19 @@ def test_checkpoint_bytes_match_recorded_digest(tmp_path, variant, share, order,
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(path, cfg, 5, init_params(cfg, seed=5))
     assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+
+
+def test_checkpoint_bytes_of_a_fixed_store_match_recorded_digest(tmp_path):
+    # recorded before the checkpoint moved onto the shared container; the
+    # store's values come from no random draw
+    cfg = ModelConfig(n_marks=3, n_bins=6, d=4, d_hm=3, variant="lstm-alpha-beta",
+                      share_bin_context=False, mark_order=(1, 2, 0))
+    layout = parameter_layout(cfg)
+    n = sum(math.prod(shape) for _, shape in layout)
+    path = os.path.join(tmp_path, "model.ckpt")
+    save_checkpoint(path, cfg, 11, ParameterStore(layout, (np.arange(n) - n / 2) / 7.0))
+    assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == (
+        "bf4d18c238367aaec4eeb47a53afbac50a131e8f7c0ba48d5213b06f8592bc7f")
 
 
 @pytest.fixture(scope="module")
