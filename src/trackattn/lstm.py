@@ -25,12 +25,19 @@ adjoints of h_prev and x, and one more accumulates the gradient of the
 whole [U | W | b] stack, returned in the stack's own layout. A pass that
 wants input gradients only (saliency) passes ``param_grad=False``: the
 node then records the input as its one parent, and its backward pass
-skips the stack product and does not keep the per-step [h_prev; x; 1]
-columns that product reads; the input adjoints are the same bits. With
+skips the stack product; the input adjoints are the same bits. With
 ``keep=False`` the same step loop writes each step's gates and cell
 state over one rolling slot, and the call returns a constant with no
 parents and no backward closure, so no gate or cell buffer outlives it.
 Both policies run the same arithmetic and give bit-identical outputs.
+
+Only the stack product reads a step's [h_prev; x; 1] column after that
+step. So the taped scan with the stack gradient keeps all T + 1 columns,
+and every other call rolls two: step s fills the x rows of one, reads it,
+and writes h_s into the other. Each step writes its forward and backward
+states straight into their rows of the output, and its backward pass
+gathers each step's output adjoint into one (2K, d, B) buffer, so no
+second (T, K, 2d, B) array is made on either side.
 
 All functions are pure and safe to call concurrently over shared
 read-only parameters (each call builds its own graph); a scan node's
@@ -78,23 +85,27 @@ def bilstm_encode_steps(x: Tensor, a: Tensor, keep: bool = True,
     a_half = w.copy()
     a_half[:, :3 * d] *= 0.5  # exact: scaling by a power of two commutes with rounding
 
-    # hx[s] = [h_{s-1}; x_s; 1] per recurrence; backward directions see
-    # step s as time T-1-s. hx[s + 1, :, :d] receives h_s.
-    hx = np.empty((n_t + 1, n_s, n_a, n_b))
-    by_dir = hx.reshape(n_t + 1, n_k, 2, n_a, n_b)
+    # hx[s % n_hx] = [h_{s-1}; x_s; 1] per recurrence, its x rows filled at
+    # step s: all T + 1 kept for the stack gradient, else two rolling slots.
+    # Backward directions see step s as time T-1-s.
+    n_hx = n_t + 1 if keep and param_grad else 2
+    hx = np.empty((n_hx, n_s, n_a, n_b))
+    by_dir = hx.reshape(n_hx, n_k, 2, n_a, n_b)
     hx[0, :, :d] = 0.0
-    by_dir[:n_t, :, 0, d:-1] = xd
-    by_dir[:n_t, :, 1, d:-1] = xd[::-1]
-    hx[:n_t, :, -1] = 1.0
+    hx[:, :, -1] = 1.0
 
     # step s writes slot s % n_slots: every step kept, or one rolling slot
-    # (whose previous cell state, slot -1, is the slot itself)
+    # (whose previous cell state, slot -1, is the slot itself); each step's
+    # h goes straight to its rows of the output
     n_slots = n_t if keep else 1
     gates = np.empty((n_slots, n_s, 4 * d, n_b))
     cells = np.empty((n_slots, n_s, d, n_b))
+    out = np.empty((n_t, n_k, 2, d, n_b))
     for s in range(n_t):
         k = s % n_slots
-        z = np.matmul(a_half, hx[s], out=gates[k])
+        by_dir[s % n_hx, :, 0, d:-1] = xd[s]
+        by_dir[s % n_hx, :, 1, d:-1] = xd[n_t - 1 - s]
+        z = np.matmul(a_half, hx[s % n_hx], out=gates[k])
         np.tanh(z, out=z)
         sig = z[:, :3 * d]
         sig *= 0.5
@@ -104,16 +115,13 @@ def bilstm_encode_steps(x: Tensor, a: Tensor, keep: bool = True,
         c = np.multiply(i, g, out=cells[k])
         if s:
             c += carried
-        np.multiply(o, np.tanh(c), out=hx[s + 1, :, :d])
+        h = np.multiply(o, np.tanh(c), out=hx[(s + 1) % n_hx, :, :d]).reshape(n_k, 2, d, n_b)
+        out[s, :, 0] = h[:, 0]
+        out[n_t - 1 - s, :, 1] = h[:, 1]
 
-    out = np.empty((n_t, n_k, 2, d, n_b))
-    out[:, :, 0] = by_dir[1:, :, 0, :d]
-    out[:, :, 1] = by_dir[n_t:0:-1, :, 1, :d]
     out = out.reshape(n_t, n_k, 2 * d, n_b)
     if not keep:
         return Tensor(out, validate=False)
-    if not param_grad:
-        hx = None  # only the stack gradient reads the step columns
     walked = False
 
     def bwd(adj):
@@ -123,10 +131,8 @@ def bilstm_encode_steps(x: Tensor, a: Tensor, keep: bool = True,
             raise ContractError("a scan node's backward pass runs once per forward pass")
         walked = True
         adj = adj.reshape(n_t, n_k, 2, d, n_b)
-        dh_all = np.empty((n_t, n_k, 2, d, n_b))
-        dh_all[:, :, 0] = adj[:, :, 0]
-        dh_all[:, :, 1] = adj[::-1, :, 1]
-        dh_all = dh_all.reshape(n_t, n_s, d, n_b)
+        dh = np.empty((n_s, d, n_b))  # step s's output adjoint, gathered per step
+        dh_dir = dh.reshape(n_k, 2, d, n_b)
         a_t = w.transpose(0, 2, 1)
         da = np.zeros((n_s, 4 * d, n_a)) if param_grad else None
         dxs = np.empty((n_t, n_s, n_in, n_b))
@@ -137,7 +143,8 @@ def bilstm_encode_steps(x: Tensor, a: Tensor, keep: bool = True,
             sig = z[:, :3 * d]
             i, f, o, g = z[:, :d], z[:, d:2 * d], z[:, 2 * d:3 * d], z[:, 3 * d:]
             tc = np.tanh(cells[s])
-            dh = dh_all[s]
+            dh_dir[:, 0] = adj[s, :, 0]
+            dh_dir[:, 1] = adj[n_t - 1 - s, :, 1]
             if dhx is not None:
                 dh += dhx[:, :d]
             dc = tc * tc

@@ -236,8 +236,9 @@ def _attend_steps(steps: Tensor, contexts: Tensor,
 
     The scores, the summaries and the weight adjoint are ``einsum``
     contractions, so no (T, K, d_h, B) product is formed only to be
-    summed; with ``param_grad=False`` the step gradient is the one array of
-    that size the backward pass makes.
+    summed. The step gradient is the one array of that size the backward
+    pass makes: its context term and the context gradient are built one
+    sequence at a time.
     """
     hd = steps.data
     _, n_k, n_h, _ = hd.shape
@@ -254,13 +255,20 @@ def _attend_steps(steps: Tensor, contexts: Tensor,
         dw = np.einsum("tkhb,khb->tkb", hd, adj)
         ds = weights * (dw - (dw * weights).sum(axis=0))
         dh = weights[:, :, None, :] * adj
-        dh += ctx[:, :, None] * ds[:, :, None, :]
+        ctx_k = np.broadcast_to(ctx, (n_k, n_h))
+        dctx = np.empty((n_k, n_h)) if param_grad else None
+        for k in range(n_k):  # one (T, d_h, B) temporary at a time
+            ds_k = ds[:, k, None, :]
+            dh[:, k] += ctx_k[k, :, None] * ds_k
+            if param_grad:
+                # a product and a reduction, not an einsum: the reduction
+                # sums the columns pairwise and einsum in sequence, and
+                # trained parameters would change in their last bits with
+                # the order. Per k it adds in the order of one reduction
+                # over every k, for d_h >= 2 (the model's d_h is 2d)
+                dctx[k] = (hd[:, k] * ds_k).sum(axis=(0, 2))
         if not param_grad:
             return (dh,)
-        # a product and a reduction, not an einsum: the reduction sums the
-        # columns pairwise and einsum in sequence, and trained parameters
-        # would change in their last bits with the order
-        dctx = (hd * ds[:, :, None, :]).sum(axis=(0, 3))                 # (K, d_h)
         if len(ctx) == 1:
             dctx = dctx.sum(axis=0, keepdims=True)
         return dh, dctx

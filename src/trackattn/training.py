@@ -2,7 +2,10 @@
 
 An epoch shuffles the training set under a seeded generator, steps over
 mini-batches (batch gradient = mean of per-sample gradients), clips the
-global gradient norm, and applies the optimizer update. After each epoch
+global gradient norm, and applies the optimizer update. Each step's graph
+is freed before the next step's forward pass, so one tape is alive at a
+time. A non-finite loss or pre-clip gradient norm aborts the run with a
+NumericalError naming the epoch and batch. After each epoch
 one tape-free pass over the validation set gives its AUC and its class
 calls; the parameters returned are those of the epoch with the highest
 AUC, ties going to an epoch whose calls hold both classes (then to the
@@ -127,6 +130,28 @@ def _check_dataset(name: str, ds: Dataset, mcfg: ModelConfig) -> None:
         raise ContractError(f"{name} labels are unset; binarize first")
 
 
+def _step(x: np.ndarray, y: np.ndarray, params: ParameterStore, state: dict,
+          mcfg: ModelConfig, cfg: TrainConfig, where: str) -> float:
+    """One optimizer step on a batch; returns the batch's mean loss. The
+    batch's graph dies on return, before the next batch's forward pass."""
+    bf = forward_batch(x, params, mcfg)
+    root = nll_loss_batch(bf.logits, y)
+    loss_value = float(root.data)
+    if not np.isfinite(loss_value):
+        raise NumericalError(f"non-finite loss at {where}")
+    # a finite loss can still overflow the backward pass: a subnormal
+    # true-class probability makes the loss node's 1/p infinite. The norm
+    # check reports that, so the warnings on the way to it stay quiet
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ad.backward(root)
+        grad = bf.flat_gradient()
+        norm = clip_gradients(grad, cfg.grad_clip_norm)
+    if not np.isfinite(norm):
+        raise NumericalError(f"non-finite gradient norm at {where}")
+    optimizer_step(params.flat, grad, state, cfg)
+    return loss_value
+
+
 def train(cfg: TrainConfig, mcfg: ModelConfig, train_ds: Dataset,
           val_ds: Dataset) -> tuple[ParameterStore, TrainHistory]:
     """Fit a fresh model, returning the parameters of the epoch with the
@@ -160,17 +185,9 @@ def train(cfg: TrainConfig, mcfg: ModelConfig, train_ds: Dataset,
         loss_total = 0.0
         for batch_index, lo in enumerate(range(0, n, cfg.batch_size)):
             idx = order[lo:lo + cfg.batch_size]
-            bf = forward_batch(x_train[idx], params, mcfg)
-            root = nll_loss_batch(bf.logits, y_train[idx])
-            loss_value = float(root.data)
-            if not np.isfinite(loss_value):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_index}")
+            loss_value = _step(x_train[idx], y_train[idx], params, state, mcfg, cfg,
+                               f"epoch {epoch}, batch {batch_index}")
             loss_total += loss_value * idx.size
-            ad.backward(root)
-            grad = bf.flat_gradient()
-            clip_gradients(grad, cfg.grad_clip_norm)
-            optimizer_step(params.flat, grad, state, cfg)
 
         val_probs = predict_probs(val_ds.x, params, mcfg)
         val_auc = auc(ScoredSet(val_probs, val_labels))

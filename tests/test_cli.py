@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _checkpoint_fuzz import corrupted
-from trackattn import metrics
+from trackattn import metrics, training
 from trackattn.cli import TRAIN_DEFAULTS, main
 from trackattn.data import load_dataset, load_relevance, map_to_csv, read_map_csv
 from trackattn.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
@@ -494,6 +494,25 @@ def test_train_numerical_abort_exit_code(ws, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical abort" in err and "epoch" in err
     assert not (tmp_path / "blowup" / "checkpoint.ckpt").exists()
+
+
+def test_train_non_finite_gradient_exit_code(ws, tmp_path, capsys, monkeypatch):
+    # classifier biases that make the "on" class's probability subnormal:
+    # a finite loss with a non-finite gradient is a numerical abort, not the
+    # next batch's "non-finite entries in tensor" config error
+    real = training.init_params
+
+    def biased(mcfg, seed):
+        params = real(mcfg, seed)
+        params.blocks["classifier.b"][:] = (730.0, 0.0)
+        return params
+
+    monkeypatch.setattr(training, "init_params", biased)
+    code = run("train", "--config", str(ws / "train.cfg"), "--set", f"out_dir={tmp_path}/nan")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "numerical abort" in err and "non-finite gradient norm at epoch 1, batch 0" in err
+    assert not (tmp_path / "nan" / "checkpoint.ckpt").exists()
 
 
 def test_train_config_mark_order_and_per_mark_contexts(ws, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,13 +151,44 @@ def test_scan_mark_batched_equals_one_at_a_time():
 
 @pytest.mark.parametrize("t_len,n_in", [(1, 1), (2, 3), (9, 1)])
 def test_tape_free_scan_gives_the_same_bits_as_a_constant(t_len, n_in):
+    # the taped scan keeps every [h; x; 1] column; the tape-free and the
+    # input-only scans roll two, and must give its bits
     rng = np.random.default_rng(13)
-    a = Tensor(random_stack(rng, 3, n_in, 4))
-    x = Tensor(rng.normal(size=(t_len, 3, n_in, 5)))
-    taped, free = bilstm_encode_steps(x, a), bilstm_encode_steps(x, a, keep=False)
-    assert taped.op == "bilstm_scan" and taped.parents
-    assert np.array_equal(free.data, taped.data)
-    assert free.parents == () and free._bwd is None
+    for n_k, n_b in [(3, 5), (1, 1), (3, 1)]:
+        a = Tensor(random_stack(rng, n_k, n_in, 4))
+        x = Tensor(rng.normal(size=(t_len, n_k, n_in, n_b)))
+        seed = rng.normal(size=(t_len, n_k, 8, n_b))
+        taped, free = bilstm_encode_steps(x, a), bilstm_encode_steps(x, a, keep=False)
+        assert taped.op == "bilstm_scan" and taped.parents
+        assert np.array_equal(free.data, taped.data)
+        assert free.parents == () and free._bwd is None
+        ad.backward(taped, seed)
+        dx = x.adjoint
+        input_only = bilstm_encode_steps(x, a, param_grad=False)
+        assert input_only.parents == (x,)
+        assert np.array_equal(input_only.data, taped.data)
+        ad.backward(input_only, seed)
+        assert np.array_equal(x.adjoint, dx)
+
+
+@pytest.mark.parametrize("param_grad", [True, False])
+def test_tape_free_scan_memory_grows_with_its_output_only(param_grad):
+    # the tape-free scan rolls two [h; x; 1] slots and writes each step's
+    # state straight into its output: when T doubles, its traced peak grows
+    # by about one output. Keeping every step's column grew it by ~2x that
+    rng = np.random.default_rng(14)
+    a = Tensor(random_stack(rng, 5, 1, 16))
+    peaks = []
+    for t_len in (40, 80):
+        x = Tensor(rng.normal(size=(t_len, 5, 1, 32)))
+        tracemalloc.start()
+        try:
+            bilstm_encode_steps(x, a, keep=False, param_grad=param_grad)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    output_growth = 40 * 5 * 32 * 32 * 8
+    assert peaks[1] - peaks[0] <= 1.25 * output_growth, peaks
 
 
 def test_sigmoid_saturates_without_overflow():

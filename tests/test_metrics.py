@@ -343,6 +343,15 @@ def test_predict_probs_keeps_no_backward_buffers():
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
+def test_predict_probs_peaks_near_its_activations():
+    # the tape-free scans roll two [h; x; 1] slots and write each step's
+    # state straight into their output; keeping every step's column and
+    # gathering the output at the end peaked at 33.9 MiB here
+    cfg, params, x = acceptance_scoring_input()
+    peak = traced_peak(lambda: predict_probs(x, params, cfg))
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_mean_saliency_keeps_one_batch_of_input_only_buffers():
     # one taped pass of at most 64 genes at a time, with no [U | W | b]
     # gradient: 256-gene batches that also built the stack gradient peaked

@@ -372,6 +372,18 @@ def test_nll_gradient_is_softmax_minus_onehot():
     np.testing.assert_allclose(bf.logits.adjoint, (probs - onehot) / 4.0, atol=1e-12)
 
 
+def test_subnormal_class_probability_gives_a_finite_loss_and_a_non_finite_gradient():
+    # a true-class logit 730 below the other puts its probability near
+    # 1e-317, a subnormal: the loss stays finite, but the backward pass's
+    # 1/p overflows, which the training step must report (exit 4), not clip
+    logits = Tensor(np.array([[730.0, 730.0], [0.0, 0.0]]))
+    root = nll_loss_batch(logits, [1, -1])
+    assert float(root.data) == pytest.approx(365.0, abs=1e-6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ad.backward(root)
+    assert not np.isfinite(logits.adjoint).all()
+
+
 def test_init_deterministic_and_bounded():
     cfg = ModelConfig(n_marks=5, n_bins=100, variant="lstm-alpha-beta")
     a, b = init_params(cfg, seed=7), init_params(cfg, seed=7)

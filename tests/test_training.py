@@ -1,9 +1,12 @@
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trackattn import autodiff as ad
+from trackattn import training
 from trackattn.data import Dataset, SynthSpec, split, synth_generate
 from trackattn.errors import ContractError, NumericalError
 from trackattn.model import (ModelConfig, ParameterStore, forward_batch, init_params,
@@ -166,6 +169,66 @@ def test_non_finite_loss_aborts_with_location():
     with np.errstate(divide="ignore", over="ignore"), pytest.raises(NumericalError) as err:
         train(cfg, small_mcfg(), train_ds, val_ds)
     assert "epoch" in str(err.value) and "batch" in str(err.value)
+
+
+def biased_init(monkeypatch):
+    """Make train start from classifier biases that put the "on" class's
+    probability near 1e-317, a subnormal."""
+    real = training.init_params
+
+    def init(mcfg, seed):
+        params = real(mcfg, seed)
+        params.blocks["classifier.b"][:] = (730.0, 0.0)
+        return params
+
+    monkeypatch.setattr(training, "init_params", init)
+
+
+def test_non_finite_gradient_under_a_finite_loss_aborts_with_location(monkeypatch):
+    # the first batch's loss is finite, its gradient is not: before the
+    # norm check, Adam wrote NaN into the parameters and the next batch's
+    # leaf check failed as a config error
+    biased_init(monkeypatch)
+    train_ds, val_ds = planted_sets(n=60, seed=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite gradient norm at epoch 1, batch 0"):
+            train(TrainConfig(max_epochs=2, seed=11), small_mcfg(), train_ds, val_ds)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_holds_one_step_graph_at_a_time():
+    # a batch's graph dies before the next batch's forward pass; when the
+    # loop still held it, train peaked at 1.68x one step
+    mcfg = ModelConfig(n_marks=5, n_bins=100, d=32, d_hm=16, variant="lstm-alpha-beta")
+    rng = np.random.default_rng(12)
+
+    def planted(n):
+        labels = np.where(np.arange(n) % 2 == 0, 1, -1)
+        return Dataset.from_arrays([f"g{i}" for i in range(n)],
+                                   np.abs(rng.normal(size=(n, 5, 100))),
+                                   [f"m{j}" for j in range(5)], labels=labels)
+
+    train_ds, val_ds = planted(96), planted(32)
+    cfg = TrainConfig(batch_size=16, max_epochs=1)
+    params = init_params(mcfg, cfg.seed)
+
+    def one_step():
+        bf = forward_batch(train_ds.x[:16], params, mcfg)
+        ad.backward(nll_loss_batch(bf.logits, train_ds.labels[:16]))
+        bf.flat_gradient()
+
+    step = traced_peak(one_step)
+    whole = traced_peak(lambda: train(cfg, mcfg, train_ds, val_ds))
+    assert whole <= 1.25 * step, f"train {whole / 2**20:.1f} MiB, one step {step / 2**20:.1f} MiB"
 
 
 def test_train_validates_inputs():
