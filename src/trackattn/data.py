@@ -252,8 +252,8 @@ def _parse_dataset(fh, path: str, n_bins: int, arcsinh: bool, n_bytes: int) -> D
 
     # A valid file holds n_bins records per gene, each of at least M + 2
     # one-character numeric fields and M + 2 separators: that bounds the
-    # genes the table may make room for. (Below one bin, every bin is out
-    # of range.)
+    # genes, and the table is made for that many. (Below one bin, every
+    # bin is out of range.)
     record = 2 * (len(mark_names) + 2)
     table = _GeneTable(len(mark_names), n_bins, n_bytes // (record * max(n_bins, 1)))
     lineno = 2
@@ -380,17 +380,21 @@ class _GeneTable:
     bin``. ``key_line`` holds the line that filled each key (0 while
     unfilled), so duplicate and missing bins are array lookups. A block
     that passes every check is written into ``values``, the (genes,
-    n_marks, n_bins) array :meth:`dataset` returns. A block naming more
-    than ``max_genes`` genes fails before any room is made for them.
+    n_marks, n_bins) array :meth:`dataset` returns a view of.
+
+    The arrays are allocated once, with ``max_genes`` rows. A large
+    zeroed array is mapped, not written, so the rows no gene fills take
+    no memory. A block naming more than ``max_genes`` genes fails before
+    any of its rows is kept.
     """
 
     def __init__(self, n_marks: int, n_bins: int, max_genes: int):
         self.n_marks, self.n_bins, self.max_genes = n_marks, n_bins, max_genes
         self.index: dict[str, int] = {}
-        self.expr = np.zeros(0)                     # per gene: expression of its first row
-        self.key_line = np.zeros(0, np.int64)
+        self.expr = np.zeros(max_genes)             # per gene: expression of its first row
         # no cells below one bin: there every bin fails its range check
-        self.values = np.zeros((0, n_marks, max(n_bins, 0)))
+        self.key_line = np.zeros(max_genes * max(n_bins, 0), np.int64)
+        self.values = np.zeros((max_genes, n_marks, max(n_bins, 0)))
 
     def add(self, block: _Block, first_line: int) -> None:
         """Check and keep one block, its line 0 on ``first_line``. Raises
@@ -402,7 +406,10 @@ class _GeneTable:
         gene = np.fromiter(map(self.index.__getitem__, block.genes), np.int64, len(block.genes))
         bins, signals, expression = block.bins, block.signals, block.expression
 
-        self._reserve(len(self.index))
+        if len(self.index) > self.max_genes:
+            raise IngestionError(f"n_bins = {self.n_bins} does not fit the file: it has room "
+                                 f"for {self.max_genes} genes of n_bins records, "
+                                 f"and names at least {len(self.index)}")
         ids, first = np.unique(gene, return_index=True)
         new = ids >= n_known
         self.expr[ids[new]] = expression[first[new]]
@@ -437,18 +444,6 @@ class _GeneTable:
             raise self._row_error(_FIELDS, block.row(j), first_line + j)
         self.key_line[keys] = lines
         self.values[keys // self.n_bins, :, keys % self.n_bins] = signals
-
-    def _reserve(self, n_genes: int) -> None:
-        if n_genes <= self.expr.size:
-            return
-        if n_genes > self.max_genes:
-            raise IngestionError(f"n_bins = {self.n_bins} does not fit the file: it has room "
-                                 f"for {self.max_genes} genes of n_bins records, "
-                                 f"and names at least {n_genes}")
-        cap = min(max(n_genes, 2 * self.expr.size), self.max_genes)
-        self.expr = _grown(self.expr, cap)
-        self.key_line = _grown(self.key_line, cap * max(self.n_bins, 0))
-        self.values = _grown(self.values, cap)
 
     def _row_error(self, code: int, row: list[str], line: int, seen_at: int = 0,
                    first_expr: float = 0.0) -> IngestionError:
@@ -494,13 +489,6 @@ class _GeneTable:
         if arcsinh:
             np.arcsinh(values, out=values)
         return Dataset.from_arrays(self.index, values, mark_names, self.expr[:n])
-
-
-def _grown(a: np.ndarray, size: int) -> np.ndarray:
-    """``a`` with its leading axis grown to ``size``, zero-filled."""
-    out = np.zeros((size, *a.shape[1:]), a.dtype)
-    out[:len(a)] = a
-    return out
 
 
 def _parsed(convert, text: str):
@@ -639,8 +627,10 @@ class SynthSpec:
             raise ContractError(
                 f"informative bin range [{self.informative_lo}, {self.informative_hi}] "
                 f"not within [0, {self.n_bins})")
-        if self.effect < 0 or self.noise_scale < 0:
-            raise ContractError("effect and noise_scale must be non-negative")
+        for name in ("effect", "noise_scale"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ContractError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 def synth_generate(spec: SynthSpec) -> tuple[Dataset, np.ndarray]:

@@ -63,11 +63,12 @@ def auc(s: ScoredSet) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def f1(s: ScoredSet, threshold: float = 0.5) -> float:
-    """F1 of the positive class with predictions scored above the threshold."""
+def f1(s: ScoredSet) -> float:
+    """F1 of the positive class, a gene predicted positive when its score
+    is above 0.5 (the rule training counts validation calls by)."""
     if s.scores.size == 0:
         raise ContractError("empty scored set")
-    predicted = s.scores > threshold
+    predicted = s.scores > 0.5
     actual = s.labels == 1
     tp = int((predicted & actual).sum())
     if tp == 0:
@@ -93,25 +94,30 @@ def pearson(x, y) -> float:
 
 # ---------------------------------------------------------- model scoring
 
-# Genes per scoring batch. Each batch's pass is freed before the next
-# runs, so this bounds a scoring pass's memory; per-gene values do not
-# depend on it.
+# Genes per scoring batch, read when a pass starts. Each batch's pass is
+# freed before the next runs, so this bounds a scoring pass's memory.
+# Per-gene values agree across batch sizes to rounding, not to the bit
+# (a matrix product may sum in another order for another batch width);
+# output bytes are deterministic for a fixed SCORE_BATCH and gene order.
 SCORE_BATCH = 64
 
 
-def predict_probs(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
-                  batch_size: int = SCORE_BATCH) -> np.ndarray:
+def _batches(x: np.ndarray):
+    """``x`` in consecutive slices of ``SCORE_BATCH`` genes."""
+    n = SCORE_BATCH
+    return (x[lo:lo + n] for lo in range(0, x.shape[0], n))
+
+
+def predict_probs(x: np.ndarray, params: ParameterStore, cfg: ModelConfig) -> np.ndarray:
     """Positive-class probabilities for a (N, M, T) input stack."""
     # tape-free, and no pass outlives its batch
     return np.concatenate([
-        logits_to_probs(forward_batch(x[lo:lo + batch_size], params, cfg,
-                                      grad=False).logits.data)[1]
-        for lo in range(0, x.shape[0], batch_size)])
+        logits_to_probs(forward_batch(batch, params, cfg, grad=False).logits.data)[1]
+        for batch in _batches(x)])
 
 
-def score_dataset(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
-                  batch_size: int = SCORE_BATCH) -> ScoredSet:
-    return ScoredSet(predict_probs(dataset.x, params, cfg, batch_size), dataset.labels)
+def score_dataset(dataset: Dataset, params: ParameterStore, cfg: ModelConfig) -> ScoredSet:
+    return ScoredSet(predict_probs(dataset.x, params, cfg), dataset.labels)
 
 
 @dataclass
@@ -169,23 +175,20 @@ def _add_batch(x: np.ndarray, params: ParameterStore, cfg: ModelConfig,
 
 
 def _class_pass(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
-                predicted_class: int, batch_size: int, sums: ClassSums,
-                saliency: bool) -> ClassSums:
+                predicted_class: int, sums: ClassSums, saliency: bool) -> ClassSums:
     """Fill ``sums`` batch by batch; each batch's graph is freed before the
     next batch runs."""
     if predicted_class not in (-1, 1):
         raise ContractError("predicted_class must be -1 or +1")
-    x = dataset.x
-    for lo in range(0, x.shape[0], batch_size):
-        _add_batch(x[lo:lo + batch_size], params, cfg, predicted_class, sums, saliency)
+    for batch in _batches(dataset.x):
+        _add_batch(batch, params, cfg, predicted_class, sums, saliency)
     if sums.count == 0:
         raise MetricUndefinedError(f"empty class: no samples predicted as {predicted_class:+d}")
     return sums
 
 
 def mean_attention(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
-                   predicted_class: int, batch_size: int = SCORE_BATCH,
-                   sums: ClassSums | None = None) -> MeanAttentionMap:
+                   predicted_class: int, sums: ClassSums | None = None) -> MeanAttentionMap:
     """Average alpha and beta over samples whose argmax prediction equals
     predicted_class (+1 or -1). Given the ``sums`` a :func:`mean_saliency`
     call filled, no forward pass of its own runs; sums that hold no sample
@@ -195,8 +198,7 @@ def mean_attention(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
     if cfg.variant == "lstm":
         raise ContractError(f"variant {cfg.variant!r} produces no attention")
     if sums is None:
-        sums = _class_pass(dataset, params, cfg, predicted_class, batch_size, ClassSums(),
-                           saliency=False)
+        sums = _class_pass(dataset, params, cfg, predicted_class, ClassSums(), saliency=False)
     elif sums.count == 0:
         raise ContractError("class sums hold no sample; fill them with mean_saliency first")
     return MeanAttentionMap(sums.alpha / sums.count,
@@ -205,8 +207,7 @@ def mean_attention(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
 
 
 def mean_saliency(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
-                  predicted_class: int, batch_size: int = SCORE_BATCH,
-                  sums: ClassSums | None = None) -> np.ndarray:
+                  predicted_class: int, sums: ClassSums | None = None) -> np.ndarray:
     """Mean absolute input gradient over samples predicted as one class.
 
     An empty ``sums`` passed in is filled from the same passes, so
@@ -217,7 +218,7 @@ def mean_saliency(dataset: Dataset, params: ParameterStore, cfg: ModelConfig,
     """
     if sums is not None and sums.count:
         raise ContractError("class sums already hold samples; pass an empty ClassSums()")
-    sums = _class_pass(dataset, params, cfg, predicted_class, batch_size,
+    sums = _class_pass(dataset, params, cfg, predicted_class,
                        ClassSums() if sums is None else sums, saliency=True)
     return sums.saliency / sums.count
 

@@ -87,6 +87,15 @@ def test_synth_invalid_bin_range_leaves_no_files(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_non_finite_effect_names_it_and_leaves_no_files(tmp_path, capsys):
+    out = tmp_path / "bad"
+    for option, field in (("--effect", "effect"), ("--noise", "noise_scale")):
+        for value in ("nan", "inf"):
+            assert run("synth", "--out", str(out), option, value) == 2
+            assert f"config error: {field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_checkpoint_reloads_bit_exactly(ws, tmp_path):
     ckpt = str(ws / "run" / "checkpoint.ckpt")
     cfg, seed, params = load_checkpoint(ckpt)

@@ -256,6 +256,11 @@ def test_synth_spec_validation():
         SynthSpec(n_genes=5, informative_mark=9)
     with pytest.raises(ContractError):
         SynthSpec(n_genes=5, informative_lo=90, informative_hi=100)
+    # nan < 0 is False: each value is checked for finiteness first
+    for field in ("effect", "noise_scale"):
+        for value in (-1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ContractError, match=f"^{field} must be finite"):
+                SynthSpec(n_genes=5, **{field: value})
 
 
 def test_restrict_marks():

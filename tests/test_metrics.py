@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gradcheck import finite_diff_entries
+from trackattn import metrics
 from trackattn.data import Dataset, map_to_csv, read_map_csv
 from trackattn.errors import ContractError, MetricUndefinedError
 from trackattn.ioutil import atomic_write_text
@@ -271,20 +272,24 @@ def test_saliency_matches_logit_finite_differences(variant):
         assert a == pytest.approx(n, rel=1e-3, abs=1e-10)
 
 
-def test_predict_probs_batches_consistently():
+def test_predict_probs_batches_consistently(monkeypatch):
     cfg, params = tiny_model(seed=15)
     ds = tiny_dataset(9, cfg, seed=16)
-    probs_small = predict_probs(ds.x, params, cfg, batch_size=2)
-    probs_big = predict_probs(ds.x, params, cfg, batch_size=64)
-    np.testing.assert_allclose(probs_small, probs_big, atol=1e-12)
-    singles = predict_probs(ds.x, params, cfg, batch_size=1)
-    np.testing.assert_allclose(probs_big, singles, atol=1e-12)
+
+    def probs(batch):
+        monkeypatch.setattr(metrics, "SCORE_BATCH", batch)
+        return predict_probs(ds.x, params, cfg)
+
+    probs_big = probs(64)
+    np.testing.assert_allclose(probs(2), probs_big, atol=1e-12)
+    np.testing.assert_allclose(probs(1), probs_big, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["lstm", "lstm-attn", "lstm-alpha", "lstm-alpha-beta"])
-def test_mean_saliency_does_not_depend_on_the_batch(variant):
+def test_mean_saliency_does_not_depend_on_the_batch(variant, monkeypatch):
     # the taped pass runs over the kept genes of each batch only, so its
-    # batch size follows how the genes fall into scoring batches
+    # batch size follows how the genes fall into scoring batches;
+    # mean_attention's tape-free pass runs over every gene of a batch
     cfg, params = tiny_model(variant, seed=19)
     ds = tiny_dataset(11, cfg, seed=20)
     # move the decision threshold between the 5th and 6th gene's logit gap
@@ -294,10 +299,21 @@ def test_mean_saliency_does_not_depend_on_the_batch(variant):
     preds = predicted_labels(ds.x, params, cfg).tolist()
     klass = 1 if preds.count(1) >= preds.count(-1) else -1
     assert 0 < preds.count(klass) < len(preds)
-    big = mean_saliency(ds, params, cfg, klass, batch_size=64)
-    for batch_size in (1, 3):
-        np.testing.assert_allclose(mean_saliency(ds, params, cfg, klass, batch_size=batch_size),
-                                   big, atol=1e-12)
+    monkeypatch.setattr(metrics, "SCORE_BATCH", 64)
+    big = mean_saliency(ds, params, cfg, klass)
+    big_attention = None if variant == "lstm" else mean_attention(ds, params, cfg, klass)
+    for batch in (1, 3):
+        monkeypatch.setattr(metrics, "SCORE_BATCH", batch)
+        np.testing.assert_allclose(mean_saliency(ds, params, cfg, klass), big, atol=1e-12)
+        if big_attention is None:
+            continue
+        m = mean_attention(ds, params, cfg, klass)
+        assert m.n_samples == big_attention.n_samples == preds.count(klass)
+        np.testing.assert_allclose(m.alpha_mean, big_attention.alpha_mean, atol=1e-12)
+        if big_attention.beta_mean is None:
+            assert m.beta_mean is None
+        else:
+            np.testing.assert_allclose(m.beta_mean, big_attention.beta_mean, atol=1e-12)
 
 
 def test_class_sums_must_be_filled_once():
